@@ -2,6 +2,8 @@
 
 Everything here operates on plain complex arrays; objects carrying their
 matrix in an ``entries`` attribute (e.g. SignatureMatrix) are accepted too.
+A masked-DFT matrix that also carries its ``mask_rows`` gets its coherence
+from the masks instead of a Gram scan.
 """
 
 from __future__ import annotations
@@ -23,10 +25,23 @@ def as_matrix(S) -> np.ndarray:
 def coherence(S, block_size: int = 2048, with_pair: bool = False):
     """Maximum normalized inner product over distinct column pairs.
 
-    Evaluated through the normalized Gram matrix in column blocks, so memory
-    stays bounded at large N. Raises on zero columns.
+    A masked-DFT signature matrix whose ``mask_rows`` span two or more blocks
+    is evaluated from its masks (see _masked_dft_coherence). Anything else
+    goes through the normalized Gram matrix in column blocks, so memory stays
+    bounded at large N. Raises on zero columns.
     """
-    A = as_matrix(S)
+    V = getattr(S, "mask_rows", None)
+    if V is not None and len(V) > 1:
+        best, pair = _masked_dft_coherence(V)
+    else:
+        best, pair = _gram_coherence(as_matrix(S), block_size)
+    best = min(best, 1.0)
+    if with_pair:
+        return best, pair
+    return best
+
+
+def _gram_coherence(A: np.ndarray, block_size: int) -> tuple[float, tuple[int, int]]:
     if A.ndim != 2 or A.shape[1] < 2:
         raise ValueError("need a matrix with at least 2 columns")
     norms = np.linalg.norm(A, axis=0)
@@ -48,10 +63,33 @@ def coherence(S, block_size: int = 2048, with_pair: bool = False):
             if G[r, c] > best:
                 best = float(G[r, c])
                 pair = (i0 + r, j0 + c)
-    best = min(best, 1.0)
-    if with_pair:
-        return best, pair
-    return best
+    return best, pair
+
+
+def _masked_dft_coherence(V: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Coherence of [diag(v_0) F_L, ..., diag(v_{B-1}) F_L] from its B >= 2 mask rows.
+
+    Columns of one block are orthonormal. Column l of block b and column l'
+    of block b' > b meet in DFT(conj(v_b) v_b')[(l' - l) mod L] / L, so each
+    block pair costs one length-L DFT, taken here as a row times the unscaled
+    L x L DFT matrix: for L <= 47 that is as fast as np.fft.fft or faster
+    (2x at prime L), though np.fft wins at large smooth L such as 80. Every
+    block before the last is full, so the last block sees every shift even
+    when the matrix keeps only part of it.
+    """
+    B, L = V.shape
+    kl = np.outer(np.arange(L), np.arange(L)) % L
+    W = np.exp(-2j * np.pi * kl / L)
+    best = -1.0
+    pair = (0, L)
+    for b in range(B - 1):
+        G = np.abs((V[b + 1 :] * V[b].conj()) @ W)
+        k = int(np.argmax(G))
+        if G.flat[k] > best:
+            best = float(G.flat[k])
+            r, shift = divmod(k, L)
+            pair = (b * L + (-shift) % L, (b + 1 + r) * L)  # l' = 0, l = -shift
+    return best / L, pair
 
 
 def welch_bound(L: int, N: int) -> float:
@@ -74,16 +112,20 @@ def khatri_rao_lift(S) -> np.ndarray:
     return (A.conj()[:, None, :] * A[None, :, :]).reshape(L * L, N)
 
 
-def small_regime(family: str, L: int, H: int | None, n_devices: int, q_per_device: int) -> bool:
-    """Whether N = N_d Q stays within the first lambda_1 = 0 mask blocks."""
-    N = n_devices * q_per_device
+def small_regime_columns(family: str, L: int, H: int | None) -> int:
+    """Number of columns in the first lambda_1 = 0 mask blocks of a family."""
     if family in ("cubic", "trace"):
-        return N <= L * L
+        return L * L
     if family in ("pr", "sidelnikov"):
         if H is None:
             raise ValueError(f"family {family!r} needs H")
-        return N <= (H - 1) * L
+        return (H - 1) * L
     raise ValueError(f"unknown family {family!r}")
+
+
+def small_regime(family: str, L: int, H: int | None, n_devices: int, q_per_device: int) -> bool:
+    """Whether N = N_d Q stays within the first lambda_1 = 0 mask blocks."""
+    return n_devices * q_per_device <= small_regime_columns(family, L, H)
 
 
 def family_coherence_bound(family: str, L: int, H: int | None, n_devices: int, q_per_device: int) -> float:
@@ -238,7 +280,7 @@ def coherence_report(S, family: str, H: int | None, n_devices: int, q_per_device
     L, N = A.shape
     if N != n_devices * q_per_device:
         raise ValueError("matrix width disagrees with n_devices * q_per_device")
-    mu, pair = coherence(A, block_size=block_size, with_pair=True)
+    mu, pair = coherence(S, block_size=block_size, with_pair=True)
     welch = welch_bound(L, N)
     if family in DETERMINISTIC_FAMILIES:
         bound = family_coherence_bound(family, L, H, n_devices, q_per_device)

@@ -11,11 +11,12 @@ import sys
 
 import numpy as np
 
-from .analysis import (CoherenceReport, bound_failures, coherence,
-                       coherence_report, khatri_rao_lift,
-                       null_space_sign_ratio, welch_bound)
-from .experiments import (DETERMINISTIC_FAMILIES, build_masks, load_config,
-                          run_experiment, workers_from_env, write_results)
+from .analysis import (DETERMINISTIC_FAMILIES, CoherenceReport,
+                       bound_failures, coherence, coherence_report,
+                       khatri_rao_lift, null_space_sign_ratio,
+                       small_regime_columns, welch_bound)
+from .experiments import (build_masks, load_config, run_experiment,
+                          workers_from_env, write_results)
 from .seqgen import (RANDOM_FAMILIES, build_signature_matrix,
                      gen_random_family, mask_block, signature_to_csv)
 from .simulator import PURPOSE_GEN, trial_rng
@@ -116,7 +117,7 @@ def cmd_verify(args) -> int:
     for family, kwargs in grid:
         masks = build_masks(family, **kwargs)
         L, B = masks.L, masks.B
-        small_n = L * L if family in ("cubic", "trace") else (masks.params["H"] - 1) * L
+        small_n = small_regime_columns(family, L, masks.params.get("H"))
         for n_cols in (min(small_n, B * L), B * L):
             report, failures = verify_masks(masks, n_cols, 1, rng)
             rows.append(report.csv_row())
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="check coherence bounds over the family grid")
-    p.add_argument("--quick", action="store_true", help="small grid, seconds not minutes")
+    p.add_argument("--quick", action="store_true", help="small grid of the smallest instances")
     p.add_argument("--family", choices=DETERMINISTIC_FAMILIES,
                    help="restrict to one family")
     p.add_argument("--seed", type=int, default=0)

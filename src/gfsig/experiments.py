@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import DETERMINISTIC_FAMILIES
 from .detectors import (amp_decide, cdml_decide, cdml_estimate, error_metric,
                         mmv_amp_estimate)
 from .seqgen import (MaskingSet, SignatureMatrix, build_signature_matrix,
@@ -26,7 +27,6 @@ from .simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL, PURPOSE_DETECTOR,
                         PURPOSE_GEN, PURPOSE_NOISE, draw_activity,
                         draw_channel, synthesize, trial_rng)
 
-DETERMINISTIC_FAMILIES = ("cubic", "pr", "sidelnikov", "trace")
 DETECTORS = ("cdml", "mmvamp")
 WORKERS_ENV = "GFSIG_WORKERS"
 
@@ -82,7 +82,7 @@ _KEYS = [
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines (comma lists for grids, # for comments)."""
-    raw = {}
+    raw = {}  # key -> (line number, value)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -90,12 +90,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        raw[key] = value
+        if key in raw:
+            raise ValueError(f"line {lineno}: duplicate config key {key!r} "
+                             f"(first set on line {raw[key][0]})")
+        raw[key] = (lineno, value)
     known = {k: (f, conv) for k, f, conv in _KEYS}
     kwargs = {}
-    for key, value in raw.items():
+    for key, (lineno, value) in raw.items():
         if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
         fname, conv = known[key]
         if conv == "grid":
             kwargs[fname] = tuple(int(v) for v in value.split(","))
@@ -279,7 +282,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             p_es = np.array([p for p, _ in outcomes])
             div_rate = float(np.mean([d for _, d in outcomes]))
             stderr = float(p_es.std(ddof=1) / np.sqrt(len(p_es))) if len(p_es) > 1 else 0.0
-            row = ResultRow(cfg.family, sig.L, cfg.H, cfg.n_devices,
+            row = ResultRow(cfg.family, sig.L, sig.params.get("H"), cfg.n_devices,
                             cfg.q_per_device, k_active, n_antennas, cfg.detector,
                             cfg.trials, float(p_es.mean()), stderr,
                             time.perf_counter() - start, div_rate)

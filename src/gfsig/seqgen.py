@@ -38,7 +38,11 @@ class MaskingSet:
 
 @dataclass(frozen=True)
 class SignatureMatrix:
-    """L x N matrix of unit-norm signature columns with contiguous device groups."""
+    """L x N matrix of unit-norm signature columns with contiguous device groups.
+
+    A masked-DFT matrix keeps the masks of its blocks in ``mask_rows``, row b
+    behind columns b L .. b L + L - 1, so coherence can be read off the masks.
+    """
 
     entries: np.ndarray  # (L, N) complex
     n_devices: int
@@ -46,6 +50,12 @@ class SignatureMatrix:
     family: str
     params: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    mask_rows: np.ndarray | None = None  # (ceil(N / L), L) complex, or None
+
+    def __post_init__(self):
+        if self.mask_rows is not None and self.mask_rows.shape != (-(-self.N // self.L), self.L):
+            raise ValueError(f"mask_rows of shape {self.mask_rows.shape} do not fit "
+                             f"an {self.L} x {self.N} masked-DFT matrix")
 
     @property
     def L(self) -> int:
@@ -191,7 +201,8 @@ def build_signature_matrix(masks: MaskingSet, n_devices: int, q_per_device: int)
     F = dft_matrix(L)
     blocks = masks.masks[:n_blocks]  # (nb, L)
     S = (blocks.T[:, :, None] * F[:, None, :]).reshape(L, n_blocks * L)[:, :N]
-    return SignatureMatrix(S, n_devices, q_per_device, masks.family, dict(masks.params))
+    return SignatureMatrix(S, n_devices, q_per_device, masks.family, dict(masks.params),
+                           mask_rows=blocks)
 
 
 def _draw_candidate(kind: str, L: int, N: int, rng: np.random.Generator) -> np.ndarray:

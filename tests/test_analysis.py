@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from gfsig import analysis
 from gfsig.analysis import (bound_failures, coherence, coherence_report,
                             family_coherence_bound, khatri_rao_lift,
                             ml_coherence_condition, negative_fraction,
                             null_space_sign_ratio, small_regime,
-                            spark_bruteforce, welch_bound)
-from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
-                          gen_pr_masks, gen_sidelnikov_masks, gen_trace_masks)
+                            small_regime_columns, spark_bruteforce,
+                            welch_bound)
+from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
+from gfsig.experiments import build_masks
+from gfsig.seqgen import (SignatureMatrix, build_signature_matrix,
+                          gen_cubic_masks, gen_pr_masks, gen_sidelnikov_masks,
+                          gen_trace_masks)
 
 
 def rand_complex(rng, shape):
@@ -44,6 +49,66 @@ def test_coherence_argmax_pair():
     mu, pair = coherence(A, with_pair=True)
     assert mu == pytest.approx(1.0)
     assert pair == (1, 4)
+
+
+# --- coherence from the masks -------------------------------------------------
+
+# One full-size instance per family: the Gram oracle at N = B L takes 1-2 s each.
+FULL_SIZE = [("cubic", {"L": 23}), ("pr", {"L": 23, "H": 22}),
+             ("sidelnikov", {"p": 5, "m": 2}), ("trace", {"p": 5, "m": 2})]
+
+
+def _oracle_cases():
+    """(family, kwargs, column counts) for the mask path vs. Gram scan check."""
+    assert all(case in VERIFY_GRID for case in FULL_SIZE)
+    for family, kwargs in VERIFY_GRID + VERIFY_GRID_QUICK:
+        masks = build_masks(family, **kwargs)
+        L, B = masks.L, masks.B
+        small = small_regime_columns(family, L, masks.params.get("H"))
+        counts = {small, small - 3, L + 1, L, L - 2}  # L, L - 2: one block, Gram fallback
+        if (family, kwargs) in VERIFY_GRID_QUICK:
+            counts |= {B * L, B * L - 3}  # the last block full, then partial
+        if (family, kwargs) in FULL_SIZE:
+            counts.add(B * L)
+        yield pytest.param(masks, sorted(counts), id=f"{family}-{'-'.join(map(str, kwargs.values()))}")
+
+
+@pytest.mark.parametrize("masks,counts", _oracle_cases())
+def test_mask_coherence_matches_gram_scan(masks, counts):
+    for n in counts:
+        sig = build_signature_matrix(masks, n, 1)
+        mu, (i, j) = coherence(sig, with_pair=True)
+        assert abs(mu - coherence(sig.entries)) < 1e-12, n
+        A = sig.entries
+        assert i != j and 0 <= min(i, j) and max(i, j) < n
+        assert abs(abs(np.vdot(A[:, i], A[:, j])) - mu) < 1e-12, n
+
+
+def test_coherence_report_reads_the_masks(monkeypatch):
+    sig = build_signature_matrix(gen_cubic_masks(11), 1331, 1)
+    expected = coherence(sig)
+
+    def no_gram(*args):
+        raise AssertionError("Gram scan used for a masked-DFT matrix")
+
+    monkeypatch.setattr(analysis, "_gram_coherence", no_gram)
+    assert coherence_report(sig, "cubic", None, 1331, 1).mu == expected
+
+
+def test_mask_rows_must_fit_the_matrix():
+    sig = build_signature_matrix(gen_cubic_masks(7), 20, 1)
+    assert sig.mask_rows.shape == (3, 7)
+    with pytest.raises(ValueError, match="mask_rows"):
+        SignatureMatrix(sig.entries, 20, 1, "cubic", mask_rows=sig.mask_rows[:2])
+
+
+def test_cubic_L47_all_columns_within_bounds():
+    # N = 103,823 columns: past what the N x N Gram scan can do at desk scale
+    masks = gen_cubic_masks(47)
+    sig = build_signature_matrix(masks, masks.B * masks.L, 1)
+    mu, (i, j) = coherence(sig, with_pair=True)
+    assert welch_bound(47, sig.N) <= mu <= 2 / math.sqrt(47)
+    assert abs(abs(np.vdot(sig.entries[:, i], sig.entries[:, j])) - mu) < 1e-12
 
 
 # --- welch bound ----------------------------------------------------------
@@ -118,6 +183,17 @@ def test_family_bound_values():
     assert family_coherence_bound("trace", 24, None, 288, 2) == pytest.approx(7 / 24)
     with pytest.raises(ValueError):
         family_coherence_bound("zadoff", 23, None, 10, 1)
+
+
+def test_small_regime_columns():
+    assert small_regime_columns("cubic", 23, None) == 529
+    assert small_regime_columns("trace", 24, None) == 576
+    assert small_regime_columns("pr", 23, 22) == 483
+    assert small_regime_columns("sidelnikov", 24, 24) == 552
+    with pytest.raises(ValueError, match="needs H"):
+        small_regime_columns("pr", 23, None)
+    with pytest.raises(ValueError, match="unknown"):
+        small_regime_columns("zadoff", 23, None)
 
 
 def test_small_regime_boundaries():

@@ -45,7 +45,9 @@ def test_config_parsing_features():
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\nfoo = 1", "unknown"),
     ("family = cubic\nL = 7\nQ = 2\nK = 2\nM = 4\ntrials = 2", "missing"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\ndetector = omp", "detector"),
-], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet"])
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nL = 11\nK = 2\nM = 4\ntrials = 2",
+     "line 5: duplicate config key 'L' .*line 2"),
+], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet", "dupkey"])
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
@@ -113,3 +115,16 @@ def test_capacity_exceeded_raises():
                            k_grid=(2,), m_grid=(4,), trials=2)
     with pytest.raises(ValueError, match="capacity"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("family,H,expected", [
+    ("pr", None, "6"),  # default H = L - 1
+    ("cubic", 5, ""),  # cubic masks take no H
+], ids=["pr-default", "cubic-stray"])
+def test_results_csv_reports_effective_H(tmp_path, family, H, expected):
+    cfg = ExperimentConfig(family=family, L=7, H=H, n_devices=10, q_per_device=2,
+                           k_grid=(2,), m_grid=(4,), trials=1, detector="mmvamp")
+    rows = run_experiment(cfg)
+    out = tmp_path / "r.csv"
+    write_results(rows, out)
+    assert out.read_text().splitlines()[1].split(",")[2] == expected
