@@ -28,7 +28,8 @@ def coherence(S, block_size: int = 2048, with_pair: bool = False):
     A masked-DFT signature matrix whose ``mask_rows`` span two or more blocks
     is evaluated from its masks (see _masked_dft_coherence). Anything else
     goes through the normalized Gram matrix in column blocks, so memory stays
-    bounded at large N. Raises on zero columns.
+    bounded at large N. Raises on zero columns. with_pair=True also returns
+    the column pair (i, j), i < j, that attains the maximum.
     """
     V = getattr(S, "mask_rows", None)
     if V is not None and len(V) > 1:
@@ -56,8 +57,8 @@ def _gram_coherence(A: np.ndarray, block_size: int) -> tuple[float, tuple[int, i
         for j0 in range(i0, N, block_size):
             Bj = An[:, j0 : j0 + block_size]
             G = np.abs(Bi.conj().T @ Bj)
-            if i0 == j0:
-                np.fill_diagonal(G, -1.0)
+            if i0 == j0:  # each pair once, as (i, j) with i < j
+                G[np.tril_indices(G.shape[0])] = -1.0
             k = int(np.argmax(G))
             r, c = divmod(k, G.shape[1])
             if G[r, c] > best:

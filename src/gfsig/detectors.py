@@ -62,6 +62,10 @@ def covariance_objective(S_scaled: np.ndarray, gamma: np.ndarray, sigma_w2: floa
     return float(logdet + np.trace(np.linalg.solve(Sigma, Sigma_hat)).real)
 
 
+# Most coordinate steps a block evaluates in one matmul.
+CDML_BLOCK = 16
+
+
 def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
                   sweeps: int = 15, rng: np.random.Generator | None = None,
                   refresh_every: int = 5,
@@ -77,12 +81,26 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
         refresh_every: sweeps between from-scratch inverse recomputations,
                   guarding drift of the rank-one updates
         record_update_objective: evaluate the objective directly after every
-                  coordinate update (slow; for verification)
+                  coordinate step (slow; for verification)
 
     Each coordinate moves to the closed-form minimizer along its axis,
     delta = (s^H A q s - s^H A s) / (s^H A s)^2 with A = Sigma^-1 and
     q = Sigma_hat, clamped so gamma stays nonnegative, followed by a
     rank-one update of A.
+
+    Most steps are no-ops: a coordinate with gamma = 0 whose delta clamps to
+    0. Two facts let a run of consecutive steps be evaluated at once:
+    * a no-op step leaves A untouched, so every step up to the next real
+      update sees the same A;
+    * each coordinate is visited once per sweep, so its gamma when visited
+      is its gamma at the start of the sweep.
+    A block of up to CDML_BLOCK steps ends with the first coordinate already
+    in the support (gamma > 0 at the start of the sweep). Keeping
+    C = [A; Sigma_hat A - I], one matmul U = C S_block gives t = A s over
+    Sigma_hat t - s for the whole block, and Re t^H (Sigma_hat t - s) is the
+    numerator of delta. A zero-gamma step moves iff that numerator is > 0;
+    the block's first moving step is applied as a rank-one update of C and
+    evaluation resumes right after it.
     """
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
@@ -96,37 +114,59 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
     N = S_scaled.shape[1]
     Sigma_hat = (Y @ Y.conj().T) / M
     gamma = np.zeros(N)
-    Ainv = np.eye(L, dtype=complex) / sigma_w2
-    cols = np.ascontiguousarray(S_scaled.T)
+    C = np.concatenate([np.eye(L), Sigma_hat]) / sigma_w2  # A = I / sigma_w2
+    C[L:] -= np.eye(L)
     objective = []
     update_objs = [] if record_update_objective else None
+    current = (covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat)
+               if record_update_objective else None)
 
     for sweep in range(sweeps):
-        for i in rng.permutation(N):
-            s = cols[i]
-            t = Ainv @ s
-            a = (s.conj() @ t).real
-            b = (t.conj() @ (Sigma_hat @ t)).real
-            delta = (b - a) / (a * a)
-            if delta < -gamma[i]:
-                delta = -gamma[i]
-            if delta != 0.0:
-                Ainv -= (delta / (1.0 + delta * a)) * np.outer(t, t.conj())
-                gamma[i] += delta
+        perm = rng.permutation(N)
+        S_perm = S_scaled[:, perm]
+        g_perm = gamma[perm]  # gamma of each coordinate when visited
+        # next_in[p]: first position >= p whose coordinate is in the support
+        next_in = np.where(g_perm > 0, np.arange(N), N)
+        next_in = np.minimum.accumulate(next_in[::-1])[::-1].tolist()
+        g_perm = g_perm.tolist()
+        perm = perm.tolist()
+        pos = 0
+        while pos < N:
+            end = min(pos + CDML_BLOCK, next_in[pos] + 1, N)
+            U = C @ S_perm[:, pos:end]
+            num = np.vecdot(U[:L], U[L:], axis=0).real
+            # first step that moves: a positive numerator, else the last step
+            k = int((num > 0).argmax())
+            if num[k] <= 0.0:
+                k = end - pos - 1
+            j = pos + k
+            t = U[:L, k]
+            a = np.vdot(S_perm[:, j], t).real
+            d = max(num[k] / (a * a), -g_perm[j])
+            if d != 0.0:
+                u = U[:, k].copy()
+                u[L:] += S_perm[:, j]  # [t; Sigma_hat t]
+                C -= u[:, None] * ((d / (1.0 + d * a)) * t.conj())
+                gamma[perm[j]] += d
             if record_update_objective:
-                update_objs.append(covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat))
+                update_objs.extend([current] * k)
+                if d != 0.0:
+                    current = covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat)
+                update_objs.append(current)
+            pos = j + 1
         if (sweep + 1) % refresh_every == 0 and sweep + 1 < sweeps:
             Sigma = (S_scaled * gamma) @ S_scaled.conj().T + sigma_w2 * np.eye(L)
-            Ainv = np.linalg.inv(Sigma)
-        _, logdet_inv = np.linalg.slogdet(Ainv)
-        objective.append(float(-logdet_inv + np.einsum("ij,ji->", Ainv, Sigma_hat).real))
+            C[:L] = np.linalg.inv(Sigma)
+            C[L:] = Sigma_hat @ C[:L] - np.eye(L)
+        _, logdet_inv = np.linalg.slogdet(C[:L])
+        objective.append(float(-logdet_inv + np.trace(C[L:]).real + L))
 
     return MLEstimate(
         gamma,
         np.asarray(objective),
         sweeps,
         None if update_objs is None else np.asarray(update_objs),
-        Ainv,
+        C[:L].copy(),
     )
 
 

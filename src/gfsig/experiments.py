@@ -80,6 +80,15 @@ _KEYS = [
 ]
 
 
+# family-specific config keys and the families that read them
+_FAMILY_KEYS = {
+    "L": ("cubic", "pr") + RANDOM_FAMILIES,
+    "p": ("sidelnikov", "trace"),
+    "m": ("sidelnikov", "trace"),
+    "H": ("pr", "sidelnikov"),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines (comma lists for grids, # for comments)."""
     raw = {}  # key -> (line number, value)
@@ -143,6 +152,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"family {cfg.family!r} needs L")
     if cfg.family in ("sidelnikov", "trace") and (cfg.p is None or cfg.m is None):
         raise ValueError(f"family {cfg.family!r} needs p and m")
+    for key, families in _FAMILY_KEYS.items():
+        if getattr(cfg, key) is not None and cfg.family not in families:
+            raise ValueError(f"family {cfg.family!r} takes no {key}")
     if cfg.n_devices < 1 or cfg.q_per_device < 1:
         raise ValueError("N_d and Q must be positive")
     if cfg.trials < 1:
@@ -155,8 +167,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("every M must be positive")
     if cfg.sigma_w2 < 0:
         raise ValueError("sigma_w2 must be >= 0")
-    if cfg.base_seed < 0:
-        raise ValueError("base_seed must be >= 0")
+    if not 0 <= cfg.base_seed < 1 << 32:  # it is a trial_rng key
+        raise ValueError("base_seed must lie in [0, 2**32)")
 
 
 def build_masks(family: str, L: int | None = None, p: int | None = None,

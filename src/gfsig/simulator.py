@@ -21,10 +21,19 @@ PURPOSE_GEN = 5
 
 
 def trial_rng(base_seed: int, *keys: int) -> np.random.Generator:
-    """Independent generator for (base_seed, *keys); same keys, same stream."""
+    """Independent generator for (base_seed, *keys); same keys, same stream.
+
+    SeedSequence pads its entropy with zeros, so (s,) and (s, 0), or (s, 5)
+    and (s, 5, 0), would give the same stream, and it splits an integer into
+    32-bit words, so (s, 2**32) would equal (s, 0, 1). Keys must therefore
+    fit in 32 bits and the last one must be a nonzero purpose code
+    (PURPOSE_*); then distinct keys give distinct streams.
+    """
     entropy = [int(base_seed)] + [int(k) for k in keys]
-    if any(k < 0 for k in entropy):
-        raise ValueError("seed keys must be non-negative")
+    if any(not 0 <= k < 1 << 32 for k in entropy):
+        raise ValueError("seed keys must lie in [0, 2**32)")
+    if len(entropy) < 2 or entropy[-1] == 0:
+        raise ValueError("the last seed key must be a nonzero purpose code")
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

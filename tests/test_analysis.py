@@ -51,6 +51,17 @@ def test_coherence_argmax_pair():
     assert pair == (1, 4)
 
 
+@pytest.mark.parametrize("masks,n", [(gen_cubic_masks(11), 11),
+                                     (gen_sidelnikov_masks(3, 2), 6)],
+                         ids=["cubic-11-single-block", "sidelnikov-3-2-N6"])
+def test_gram_scan_pair_is_ordered(masks, n):
+    # both maxima lie inside one diagonal block of the Gram scan
+    A = build_signature_matrix(masks, n, 1).entries
+    mu, (i, j) = analysis._gram_coherence(A, 2048)
+    assert i < j
+    assert abs(abs(np.vdot(A[:, i], A[:, j])) - mu) < 1e-12
+
+
 # --- coherence from the masks -------------------------------------------------
 
 # One full-size instance per family: the Gram oracle at N = B L takes 1-2 s each.

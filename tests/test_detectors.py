@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gfsig.detectors import (amp_decide, cdml_decide, cdml_estimate,
-                             covariance_objective, error_metric,
+from gfsig.detectors import (CDML_BLOCK, MLEstimate, amp_decide, cdml_decide,
+                             cdml_estimate, covariance_objective, error_metric,
                              mmv_amp_estimate)
-from gfsig.seqgen import build_signature_matrix, gen_cubic_masks
+from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
+                          gen_random_family)
 from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
                              PURPOSE_DETECTOR, PURPOSE_NOISE, draw_activity,
                              draw_channel, synthesize, trial_rng)
@@ -98,6 +99,109 @@ def test_cdml_single_active_device_argmax():
         if np.argmax(est.gamma_hat) // Q == act.active_set[0]:
             hits += 1
     assert hits / trials >= 0.99
+
+
+def reference_cdml_estimate(Y, S_scaled, sigma_w2, sweeps=15, rng=None,
+                            refresh_every=5, record_update_objective=False):
+    """The one-coordinate-at-a-time loop cdml_estimate must reproduce."""
+    L, M = Y.shape
+    N = S_scaled.shape[1]
+    Sigma_hat = (Y @ Y.conj().T) / M
+    gamma = np.zeros(N)
+    Ainv = np.eye(L, dtype=complex) / sigma_w2
+    cols = np.ascontiguousarray(S_scaled.T)
+    objective = []
+    update_objs = [] if record_update_objective else None
+    for sweep in range(sweeps):
+        for i in rng.permutation(N):
+            s = cols[i]
+            t = Ainv @ s
+            a = (s.conj() @ t).real
+            b = (t.conj() @ (Sigma_hat @ t)).real
+            delta = (b - a) / (a * a)
+            if delta < -gamma[i]:
+                delta = -gamma[i]
+            if delta != 0.0:
+                Ainv -= (delta / (1.0 + delta * a)) * np.outer(t, t.conj())
+                gamma[i] += delta
+            if record_update_objective:
+                update_objs.append(covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat))
+        if (sweep + 1) % refresh_every == 0 and sweep + 1 < sweeps:
+            Sigma = (S_scaled * gamma) @ S_scaled.conj().T + sigma_w2 * np.eye(L)
+            Ainv = np.linalg.inv(Sigma)
+        _, logdet_inv = np.linalg.slogdet(Ainv)
+        objective.append(float(-logdet_inv + np.einsum("ij,ji->", Ainv, Sigma_hat).real))
+    return MLEstimate(gamma, np.asarray(objective), sweeps,
+                      None if update_objs is None else np.asarray(update_objs), Ainv)
+
+
+# Oracle instances yield (Y, S_scaled, true indicators (N_d, Q), detector rng).
+
+def cubic_instances(K, M, trials, n_devices=200, Q=4):
+    """Cubic L = 23 trials at base seed 1, drawn as run_trial draws them."""
+    S = build_signature_matrix(gen_cubic_masks(23), n_devices, Q).entries
+    for t in range(trials):
+        keys = (K, M, t)
+        act = draw_activity(n_devices, K, Q, trial_rng(1, *keys, PURPOSE_ACTIVITY))
+        ch = draw_channel(n_devices, M, Q, rng=trial_rng(1, *keys, PURPOSE_CHANNEL))
+        rec = synthesize(S, act, ch, 0.1, trial_rng(1, *keys, PURPOSE_NOISE))
+        yield rec.Y, np.sqrt(23) * S, act.indicators, trial_rng(1, *keys, PURPOSE_DETECTOR)
+
+
+def qpsk_instances(trials, L=16, n_devices=50, Q=2):
+    A = gen_random_family("qpsk", L, n_devices * Q, trials=1,
+                          rng=np.random.default_rng(11), q_per_device=Q).entries
+    rng = np.random.default_rng(12)
+    for _ in range(trials):
+        act = draw_activity(n_devices, 8, Q, rng)
+        ch = draw_channel(n_devices, 32, Q, rng=rng)
+        rec = synthesize(A, act, ch, 0.1, rng)
+        yield rec.Y, np.sqrt(L) * A, act.indicators, np.random.default_rng(rng.integers(1 << 32))
+
+
+def short_instances(trials):
+    # N = 10 < CDML_BLOCK: every block is cut short by N or by the support
+    rng = np.random.default_rng(13)
+    for _ in range(trials):
+        Y, S_scaled, gamma = random_instance(rng, L=8, N=10, M=16, K=3)
+        yield Y, S_scaled, gamma.reshape(5, 2), np.random.default_rng(rng.integers(1 << 32))
+
+
+ORACLE_CASES = {
+    "cubic-K40-M192": (lambda: cubic_instances(40, 192, 3), {}),
+    "cubic-K20-M4": (lambda: cubic_instances(20, 4, 5), {}),
+    "qpsk": (lambda: qpsk_instances(3), {"sweeps": 4, "record_update_objective": True}),
+    "N-below-block": (lambda: short_instances(5),
+                      {"sweeps": 6, "record_update_objective": True}),
+    "no-refresh": (lambda: cubic_instances(20, 64, 2), {"refresh_every": 10**9}),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_cdml_matches_reference_loop(case):
+    instances, kwargs = ORACLE_CASES[case]
+    assert CDML_BLOCK > 10  # so "N-below-block" is what it says
+    p_e = []
+    for Y, S_scaled, truth, rng in instances():
+        state = rng.bit_generator.state
+        est = cdml_estimate(Y, S_scaled, 0.1, rng=rng, **kwargs)
+        rng.bit_generator.state = state
+        ref = reference_cdml_estimate(Y, S_scaled, 0.1, rng=rng, **kwargs)
+        assert np.abs(est.gamma_hat - ref.gamma_hat).max() <= 1e-9 * ref.gamma_hat.max()
+        np.testing.assert_allclose(est.objective_trace, ref.objective_trace, rtol=1e-9)
+        assert (np.linalg.norm(est.sigma_inv - ref.sigma_inv)
+                <= 1e-9 * np.linalg.norm(ref.sigma_inv))
+        if kwargs.get("record_update_objective"):
+            assert est.update_objectives.shape == ref.update_objectives.shape
+            np.testing.assert_allclose(est.update_objectives, ref.update_objectives,
+                                       rtol=1e-9)
+        n_devices, Q = truth.shape
+        mine = cdml_decide(est.gamma_hat, n_devices, Q)
+        assert np.array_equal(mine.indicators_hat,
+                              cdml_decide(ref.gamma_hat, n_devices, Q).indicators_hat)
+        p_e.append(error_metric(truth, mine).p_e)
+    if case == "cubic-K20-M4":
+        assert max(p_e) > 0  # the decisions that must agree include wrong ones
 
 
 def test_covariance_objective_matches_trace_form():

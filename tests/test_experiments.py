@@ -47,7 +47,27 @@ def test_config_parsing_features():
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\ndetector = omp", "detector"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nL = 11\nK = 2\nM = 4\ntrials = 2",
      "line 5: duplicate config key 'L' .*line 2"),
-], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet", "dupkey"])
+    ("family = cubic\nL = 7\nH = 5\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'cubic' takes no H"),
+    ("family = trace\np = 3\nm = 2\nH = 2\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'trace' takes no H"),
+    ("family = qpsk\nL = 7\nH = 6\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'qpsk' takes no H"),
+    ("family = sidelnikov\np = 3\nm = 2\nL = 8\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'sidelnikov' takes no L"),
+    ("family = trace\np = 3\nm = 2\nL = 8\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'trace' takes no L"),
+    ("family = cubic\nL = 7\np = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'cubic' takes no p"),
+    ("family = pr\nL = 7\nm = 1\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'pr' takes no m"),
+    ("family = gaussian\nL = 7\np = 3\nm = 2\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "family 'gaussian' takes no p"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\nbase_seed = 4294967296",
+     "base_seed"),
+], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet", "dupkey",
+        "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L", "cubic-p",
+        "pr-m", "random-p", "seed-2**32"])
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
@@ -117,12 +137,11 @@ def test_capacity_exceeded_raises():
         run_experiment(cfg)
 
 
-@pytest.mark.parametrize("family,H,expected", [
-    ("pr", None, "6"),  # default H = L - 1
-    ("cubic", 5, ""),  # cubic masks take no H
-], ids=["pr-default", "cubic-stray"])
-def test_results_csv_reports_effective_H(tmp_path, family, H, expected):
-    cfg = ExperimentConfig(family=family, L=7, H=H, n_devices=10, q_per_device=2,
+@pytest.mark.parametrize("family,expected", [
+    ("pr", "6"),  # default H = L - 1
+], ids=["pr-default"])
+def test_results_csv_reports_effective_H(tmp_path, family, expected):
+    cfg = ExperimentConfig(family=family, L=7, n_devices=10, q_per_device=2,
                            k_grid=(2,), m_grid=(4,), trials=1, detector="mmvamp")
     rows = run_experiment(cfg)
     out = tmp_path / "r.csv"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gfsig.seqgen import build_signature_matrix, gen_cubic_masks
-from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL, PURPOSE_NOISE,
+from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
+                             PURPOSE_DETECTOR, PURPOSE_GEN, PURPOSE_NOISE,
                              complex_normal, draw_activity, draw_channel,
                              synthesize, trial_rng)
 
@@ -15,6 +16,26 @@ def test_trial_rng_reproducible_and_keyed():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         trial_rng(-1, 0)
+
+
+def test_trial_rng_purpose_codes_prevent_aliasing():
+    codes = [PURPOSE_ACTIVITY, PURPOSE_CHANNEL, PURPOSE_NOISE, PURPOSE_DETECTOR,
+             PURPOSE_GEN]
+    assert all(c > 0 for c in codes) and len(set(codes)) == len(codes)
+    # zero padding would alias these to (1,) and (1, 5)
+    for keys in [(), (0,), (5, 0)]:
+        with pytest.raises(ValueError, match="purpose code"):
+            trial_rng(1, *keys)
+    # 32-bit words: (1, 2**32) would alias (1, 0, 1)
+    for keys in [(-1, PURPOSE_GEN), (1 << 32, PURPOSE_GEN), (1, 1 << 32)]:
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            trial_rng(*keys)
+    # existing streams are unchanged
+    rng = trial_rng(1, 40, 192, 0, PURPOSE_DETECTOR)
+    assert rng.integers(0, 1 << 30, 4).tolist() == [474109536, 586235449,
+                                                    415678114, 453165898]
+    assert trial_rng(0, PURPOSE_GEN).integers(0, 1 << 30, 4).tolist() == [
+        747758052, 410315514, 892969304, 588141074]
 
 
 def test_complex_normal_unit_power():
