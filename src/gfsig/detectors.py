@@ -225,6 +225,15 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float,
                        the iteration stable on every family shipped here
         x_init:        optional starting X in the caller's scaling
 
+    `sigma_w2` is never read: the effective noise level tau2 = ||V||^2 / (L M)
+    is tracked from the residual V, so setting it has no effect.
+
+    Per iteration, Z = X + A^H V feeds the Bernoulli-Gaussian MMSE row
+    denoiser eta(z_n) = c_n pi_n z_n, and the Onsager term uses the exact
+    identity for the averaged derivative per antenna m,
+        b_m = (sum_n c_n pi_n + sum_n c_n pi_n u_n (1 - pi_n) |Z_nm|^2) / L,
+    so it costs one matvec against |Z|^2, which the denoiser also uses.
+
     Stops on max_iters or when the residual norm changes by less than `tol`
     relatively. A residual exceeding 1e6 x ||Y||_F marks the run as diverged
     (flagged on the estimate, not raised).
@@ -245,36 +254,48 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float,
     if np.any(norms < 1e-300):
         raise ValueError("signature matrix has a zero column")
     A = S_scaled / norms
+    AH = np.ascontiguousarray(A.conj().T)
     v = (norms**2) * g**2  # per-row active variance in unit-column coordinates
     lam = activity_rate
     log_prior_odds = np.log(lam) - np.log1p(-lam)
 
-    X = np.zeros((N, M), dtype=complex) if x_init is None else x_init * norms[:, None]
-    V = Y - A @ X if x_init is not None else Y.copy()
+    X = (np.zeros((N, M), dtype=complex) if x_init is None
+         else np.array(x_init * norms[:, None], dtype=complex))
+    V = np.array(Y, dtype=complex) if x_init is None else Y - A @ X
+    ones = np.ones(M)
+    keep = 1.0 - damping
     ref = np.linalg.norm(Y) + 1e-300
+    res = float(np.linalg.norm(V))
     res_trace = []
     diverged = False
     prev = None
     it = 0
     for it in range(1, max_iters + 1):
-        tau2 = max(np.linalg.norm(V) ** 2 / (L * M), 1e-30)
-        Z = X + A.conj().T @ V
-        zn2 = (np.abs(Z) ** 2).sum(axis=1)
-        c = v / (v + tau2)
-        u = v / (tau2 * (v + tau2))
-        log_lr = M * np.log(tau2 / (v + tau2)) + zn2 * u
-        pi = _expit(log_lr + log_prior_odds)
-        shrink = (c * pi)[:, None]
-        X_new = shrink * Z
-        # Onsager term from the averaged denoiser derivative, per antenna
-        deriv = shrink * (1.0 + (u * (1.0 - pi))[:, None] * np.abs(Z) ** 2)
-        b = deriv.mean(axis=0) * (N / L)
+        tau2 = max(res ** 2 / (L * M), 1e-30)
+        Z = AH @ V
+        Z += X
+        az2 = Z.real ** 2
+        az2 += Z.imag ** 2  # |Z|^2
+        zn2 = az2 @ ones  # row sums ||z_n||^2, as a matvec (a row reduce is slower)
+        vt = v + tau2
+        c = v / vt
+        u = v / (tau2 * vt)
+        pi = _expit(M * np.log(tau2 / vt) + zn2 * u + log_prior_odds)
+        shrink = c * pi
+        b = (shrink.sum() + (shrink * u * (1.0 - pi)) @ az2) / L  # Onsager, per antenna
+        # damped updates, in place: X <- damping X + (1 - damping) eta(Z) and
+        # V <- damping V + (1 - damping) (Y - A X + b V)
+        Z *= (keep * shrink)[:, None]
         if damping > 0:
-            X_new = (1 - damping) * X_new + damping * X
-        V_new = Y - A @ X_new + b[None, :] * V
-        if damping > 0:
-            V_new = (1 - damping) * V_new + damping * V
-        X, V = X_new, V_new
+            X *= damping
+            X += Z
+        else:
+            X = Z
+        R = A @ X
+        R -= Y
+        R *= keep
+        V *= keep * b + damping
+        V -= R
         res = float(np.linalg.norm(V))
         res_trace.append(res)
         if not np.isfinite(res) or res > 1e6 * ref:

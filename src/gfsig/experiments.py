@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class ExperimentConfig:
     output: str = "results.csv"
 
 
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
 # config-file key <-> dataclass field
 _KEYS = [
     ("family", "family", str),
@@ -80,13 +82,26 @@ _KEYS = [
 ]
 
 
-# family-specific config keys and the families that read them
-_FAMILY_KEYS = {
-    "L": ("cubic", "pr") + RANDOM_FAMILIES,
-    "p": ("sidelnikov", "trace"),
-    "m": ("sidelnikov", "trace"),
-    "H": ("pr", "sidelnikov"),
+# config keys read only under some families or detectors:
+# key -> (the field that decides, the values of that field that read the key)
+_SCOPED_KEYS = {
+    "L": ("family", ("cubic", "pr") + RANDOM_FAMILIES),
+    "p": ("family", ("sidelnikov", "trace")),
+    "m": ("family", ("sidelnikov", "trace")),
+    "H": ("family", ("pr", "sidelnikov")),
+    "gen_trials": ("family", RANDOM_FAMILIES),
+    "sweeps": ("detector", ("cdml",)),
+    "max_iters": ("detector", ("mmvamp",)),
+    "damping": ("detector", ("mmvamp",)),
 }
+
+
+def _reads(cfg: ExperimentConfig, key: str) -> bool:
+    """Whether a run of `cfg` reads config key `key`."""
+    if key not in _SCOPED_KEYS:
+        return True
+    field, readers = _SCOPED_KEYS[key]
+    return getattr(cfg, field) in readers
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -121,16 +136,19 @@ def parse_config(text: str) -> ExperimentConfig:
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
     cfg = ExperimentConfig(**kwargs)
-    validate_config(cfg)
+    validate_config(cfg, {key: lineno for key, (lineno, _) in raw.items()})
     return cfg
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(format_config(cfg)) == cfg."""
+    """Canonical text form; parse_config(format_config(cfg)) == cfg.
+
+    Keys the family or detector does not read are left out.
+    """
     lines = []
     for key, fname, conv in _KEYS:
         value = getattr(cfg, fname)
-        if value is None:
+        if value is None or not _reads(cfg, key):
             continue
         if conv == "grid":
             value = ",".join(str(v) for v in value)
@@ -143,7 +161,14 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) -> None:
+    """Reject configs that cannot run or that set a key the run never reads.
+
+    `lines` maps the keys a config file set to their line numbers. A key
+    the family or detector does not read is an error if the file set it,
+    or, for a config built in code, if it differs from its default.
+    """
+    lines = lines or {}
     if cfg.family not in DETERMINISTIC_FAMILIES + RANDOM_FAMILIES:
         raise ValueError(f"unknown family {cfg.family!r}")
     if cfg.detector not in DETECTORS:
@@ -152,9 +177,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"family {cfg.family!r} needs L")
     if cfg.family in ("sidelnikov", "trace") and (cfg.p is None or cfg.m is None):
         raise ValueError(f"family {cfg.family!r} needs p and m")
-    for key, families in _FAMILY_KEYS.items():
-        if getattr(cfg, key) is not None and cfg.family not in families:
-            raise ValueError(f"family {cfg.family!r} takes no {key}")
+    for key, (field, _) in _SCOPED_KEYS.items():
+        if _reads(cfg, key) or (key not in lines and getattr(cfg, key) == _DEFAULTS[key]):
+            continue
+        where = f"line {lines[key]}: " if key in lines else ""
+        raise ValueError(f"{where}{field} {getattr(cfg, field)!r} takes no {key}")
     if cfg.n_devices < 1 or cfg.q_per_device < 1:
         raise ValueError("N_d and Q must be positive")
     if cfg.trials < 1:
@@ -265,7 +292,9 @@ def workers_from_env() -> int:
         workers = int(value)
     except ValueError as exc:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {value!r}") from exc
-    return max(workers, 1)
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {value!r}")
+    return workers
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,

@@ -73,6 +73,17 @@ def test_simulate_round_trip(tmp_path, capsys):
     assert header == "family,L,H,N_d,Q,K,M,detector,trials,p_e,p_e_stderr,seconds"
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_simulate_rejects_workers_below_one(tmp_path, capsys, monkeypatch, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("family = cubic\nL = 7\nN_d = 30\nQ = 2\nK = 3\nM = 4\ntrials = 2\n"
+                   f"output = {tmp_path / 'res.csv'}\n")
+    monkeypatch.setenv("GFSIG_WORKERS", value)
+    assert main(["simulate", str(cfg)]) == 1
+    assert f"GFSIG_WORKERS must be >= 1, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_simulate_rejects_zero_trials(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("family = cubic\nL = 7\nN_d = 30\nQ = 2\nK = 3\nM = 4\ntrials = 0\n")

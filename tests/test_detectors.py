@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gfsig.detectors import (CDML_BLOCK, MLEstimate, amp_decide, cdml_decide,
-                             cdml_estimate, covariance_objective, error_metric,
-                             mmv_amp_estimate)
+from gfsig.detectors import (CDML_BLOCK, AmpEstimate, MLEstimate, amp_decide,
+                             cdml_decide, cdml_estimate, covariance_objective,
+                             error_metric, mmv_amp_estimate)
 from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
                           gen_random_family)
 from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
@@ -347,6 +347,118 @@ def test_amp_divergence_flagged_not_raised():
     est = mmv_amp_estimate(Y, S_scaled, 0.1, 0.1, x_init=huge, damping=0.99)
     assert est.diverged
     assert np.all(np.isfinite(est.residual_norm_trace[:-1]))
+
+
+def reference_mmv_amp_estimate(Y, S_scaled, activity_rate, sigma_w2, g=1.0, max_iters=50,
+                               damping=0.3, tol=1e-6, x_init=None):
+    """The MMV-AMP loop mmv_amp_estimate must reproduce, written term by term."""
+    L, M = Y.shape
+    N = S_scaled.shape[1]
+    norms = np.linalg.norm(S_scaled, axis=0)
+    A = S_scaled / norms
+    v = (norms**2) * g**2
+    lam = activity_rate
+    log_prior_odds = np.log(lam) - np.log1p(-lam)
+
+    X = np.zeros((N, M), dtype=complex) if x_init is None else x_init * norms[:, None]
+    V = Y - A @ X if x_init is not None else Y.copy()
+    ref = np.linalg.norm(Y) + 1e-300
+    res_trace = []
+    diverged = False
+    prev = None
+    it = 0
+    for it in range(1, max_iters + 1):
+        tau2 = max(np.linalg.norm(V) ** 2 / (L * M), 1e-30)
+        Z = X + A.conj().T @ V
+        zn2 = (np.abs(Z) ** 2).sum(axis=1)
+        c = v / (v + tau2)
+        u = v / (tau2 * (v + tau2))
+        log_lr = M * np.log(tau2 / (v + tau2)) + zn2 * u
+        pi = 1.0 / (1.0 + np.exp(-np.clip(log_lr + log_prior_odds, -700.0, 700.0)))
+        shrink = (c * pi)[:, None]
+        X_new = shrink * Z
+        # Onsager term from the averaged denoiser derivative, per antenna
+        deriv = shrink * (1.0 + (u * (1.0 - pi))[:, None] * np.abs(Z) ** 2)
+        b = deriv.mean(axis=0) * (N / L)
+        if damping > 0:
+            X_new = (1 - damping) * X_new + damping * X
+        V_new = Y - A @ X_new + b[None, :] * V
+        if damping > 0:
+            V_new = (1 - damping) * V_new + damping * V
+        X, V = X_new, V_new
+        res = float(np.linalg.norm(V))
+        res_trace.append(res)
+        if not np.isfinite(res) or res > 1e6 * ref:
+            diverged = True
+            break
+        if prev is not None and abs(res - prev) < tol * max(prev, 1e-300):
+            break
+        prev = res
+    return AmpEstimate(X / norms[:, None], it, np.asarray(res_trace), diverged)
+
+
+def amp_instances(M, trials, K=10, n_devices=200, Q=4):
+    """Cubic L = 23 MMV-AMP trials at base seed 1, drawn as run_trial draws them.
+
+    Yields (Y, S_scaled, true indicators (N_d, Q), true X, activity rate).
+    """
+    S = build_signature_matrix(gen_cubic_masks(23), n_devices, Q).entries
+    for t in range(trials):
+        keys = (K, M, t)
+        act = draw_activity(n_devices, K, Q, trial_rng(1, *keys, PURPOSE_ACTIVITY))
+        ch = draw_channel(n_devices, M, Q, rng=trial_rng(1, *keys, PURPOSE_CHANNEL))
+        rec = synthesize(S, act, ch, 0.1, trial_rng(1, *keys, PURPOSE_NOISE))
+        X_true = act.indicators.reshape(-1)[:, None] * ch.H
+        yield rec.Y, np.sqrt(23) * S, act.indicators, X_true, K / (n_devices * Q)
+
+
+def divergent_instance():
+    # the forced divergence of test_amp_divergence_flagged_not_raised
+    Y, S_scaled, gamma = random_instance(np.random.default_rng(10), M=4)
+    huge = 1e9 * np.ones((64, 4), dtype=complex)
+    yield Y, S_scaled, gamma.reshape(32, 2), huge, 0.1
+
+
+def uneven_instances(trials):
+    # columns of unequal norm, so the per-row variances differ
+    rng = np.random.default_rng(14)
+    for _ in range(trials):
+        Y, S_scaled, gamma = random_instance(rng, M=8)
+        S_scaled = S_scaled * rng.uniform(0.5, 2.0, 64)
+        yield Y, S_scaled, gamma.reshape(32, 2), None, 6 / 64
+
+
+# case -> (instances, keyword arguments; x_init=True starts from the true X)
+AMP_ORACLE_CASES = {
+    **{f"cubic-M{M}": (lambda M=M: amp_instances(M, 5), {}) for M in (4, 8, 16, 64)},
+    "damping-0": (lambda: amp_instances(16, 3), {"damping": 0.0}),
+    "max_iters-1": (lambda: amp_instances(8, 3), {"max_iters": 1}),
+    "x_init": (lambda: amp_instances(8, 3), {"x_init": True}),
+    "divergence": (divergent_instance, {"x_init": True, "damping": 0.99}),
+    "uneven-norms": (lambda: uneven_instances(3), {}),
+}
+
+
+@pytest.mark.parametrize("case", list(AMP_ORACLE_CASES))
+def test_amp_matches_reference_loop(case):
+    instances, kwargs = AMP_ORACLE_CASES[case]
+    iterations = []
+    for Y, S_scaled, truth, X_true, rate in instances():
+        kw = {**kwargs, "x_init": X_true} if kwargs.get("x_init") else kwargs
+        est = mmv_amp_estimate(Y, S_scaled, rate, 0.1, **kw)
+        ref = reference_mmv_amp_estimate(Y, S_scaled, rate, 0.1, **kw)
+        assert est.iterations == ref.iterations and est.diverged == ref.diverged
+        np.testing.assert_allclose(est.residual_norm_trace, ref.residual_norm_trace,
+                                   rtol=1e-8)
+        assert np.abs(est.X_hat - ref.X_hat).max() <= 1e-7 * np.abs(ref.X_hat).max()
+        n_devices, Q = truth.shape
+        assert np.array_equal(amp_decide(est.X_hat, n_devices, Q).indicators_hat,
+                              amp_decide(ref.X_hat, n_devices, Q).indicators_hat)
+        iterations.append(ref.iterations)
+    if case == "cubic-M4":
+        assert max(iterations) == 50  # the cases include a run to max_iters
+    if case == "divergence":
+        assert ref.diverged
 
 
 # --- error metric ---------------------------------------------------------------

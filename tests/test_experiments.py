@@ -1,9 +1,12 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gfsig.experiments import (CSV_HEADER, ExperimentConfig, build_signatures,
                                format_config, parse_config, run_experiment,
-                               run_trial, write_results)
+                               run_trial, validate_config, write_results)
 
 TINY = ExperimentConfig(
     family="cubic", L=7, n_devices=30, q_per_device=2,
@@ -65,12 +68,53 @@ def test_config_parsing_features():
      "family 'gaussian' takes no p"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\nbase_seed = 4294967296",
      "base_seed"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\ndamping = 0.9",
+     "line 8: detector 'cdml' takes no damping"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\nmax_iters = 50\ntrials = 2",
+     "line 7: detector 'cdml' takes no max_iters"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\ndetector = mmvamp\n"
+     "sweeps = 15", "line 9: detector 'mmvamp' takes no sweeps"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\ngen_trials = 99",
+     "line 8: family 'cubic' takes no gen_trials"),
+    ("family = trace\np = 3\nm = 2\ngen_trials = 10\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "line 4: family 'trace' takes no gen_trials"),
 ], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet", "dupkey",
         "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L", "cubic-p",
-        "pr-m", "random-p", "seed-2**32"])
+        "pr-m", "random-p", "seed-2**32", "cdml-damping", "cdml-max_iters",
+        "mmvamp-sweeps", "cubic-gen_trials", "trace-gen_trials-default"])
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
+
+
+def test_format_config_writes_only_keys_read():
+    amp = ExperimentConfig(family="qpsk", L=7, n_devices=10, q_per_device=2, k_grid=(2,),
+                           m_grid=(4,), trials=2, detector="mmvamp", damping=0.5,
+                           gen_trials=3)
+    keys = [line.split(" = ")[0] for line in format_config(amp).splitlines()]
+    assert {"max_iters", "damping", "gen_trials"} <= set(keys) and "sweeps" not in keys
+    assert parse_config(format_config(amp)) == amp
+    keys = [line.split(" = ")[0] for line in format_config(TINY).splitlines()]
+    assert "sweeps" in keys
+    assert not {"max_iters", "damping", "gen_trials"} & set(keys)
+
+
+def test_validate_config_rejects_unread_value_set_in_code():
+    # a config built in code cannot say which keys were set, so a key the
+    # run never reads is an error only when it differs from its default
+    validate_config(replace(TINY, damping=0.3, gen_trials=10))
+    for change, msg in [({"damping": 0.5}, "detector 'cdml' takes no damping"),
+                        ({"gen_trials": 3}, "family 'cubic' takes no gen_trials"),
+                        ({"detector": "mmvamp"}, "detector 'mmvamp' takes no sweeps")]:
+        with pytest.raises(ValueError, match=msg):
+            validate_config(replace(TINY, **change))
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.detector == "cdml" and cfg.sweeps == 15
 
 
 def test_build_signatures_random_is_seeded():
