@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-DETERMINISTIC_FAMILIES = ("cubic", "pr", "sidelnikov", "trace")
+from .seqgen import DETERMINISTIC_FAMILIES, FAMILIES
 
 
 def as_matrix(S) -> np.ndarray:
@@ -115,13 +115,11 @@ def khatri_rao_lift(S) -> np.ndarray:
 
 def small_regime_columns(family: str, L: int, H: int | None) -> int:
     """Number of columns in the first lambda_1 = 0 mask blocks of a family."""
-    if family in ("cubic", "trace"):
-        return L * L
-    if family in ("pr", "sidelnikov"):
-        if H is None:
-            raise ValueError(f"family {family!r} needs H")
-        return (H - 1) * L
-    raise ValueError(f"unknown family {family!r}")
+    if family not in DETERMINISTIC_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if H is None and "H" in FAMILIES[family].takes:
+        raise ValueError(f"family {family!r} needs H")
+    return FAMILIES[family].small_columns(L, H)
 
 
 def small_regime(family: str, L: int, H: int | None, n_devices: int, q_per_device: int) -> bool:
@@ -132,15 +130,7 @@ def small_regime(family: str, L: int, H: int | None, n_devices: int, q_per_devic
 def family_coherence_bound(family: str, L: int, H: int | None, n_devices: int, q_per_device: int) -> float:
     """Published two-regime coherence upper bound for a deterministic family."""
     small = small_regime(family, L, H, n_devices, q_per_device)
-    if family == "cubic":
-        return 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L)
-    if family == "pr":
-        return (math.sqrt(L) + 1) / L if small else (2 * math.sqrt(L) + 2) / L
-    if family == "sidelnikov":
-        return (math.sqrt(L + 1) + 3) / L if small else (2 * math.sqrt(L + 1) + 4) / L
-    if family == "trace":
-        return (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L
-    raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family].bound(L, small)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .analysis import (DETERMINISTIC_FAMILIES, CoherenceReport,
                        small_regime_columns, welch_bound)
 from .experiments import (build_masks, load_config, run_experiment,
                           workers_from_env, write_results)
-from .seqgen import (RANDOM_FAMILIES, build_signature_matrix,
+from .seqgen import (FAMILIES, RANDOM_FAMILIES, build_signature_matrix, check_keys,
                      gen_random_family, mask_block, signature_to_csv)
 from .simulator import PURPOSE_GEN, trial_rng
 
@@ -150,7 +150,10 @@ def cmd_simulate(args) -> int:
 
 def _build_any_signatures(args):
     n = args.Nd * args.Q
-    if args.family in RANDOM_FAMILIES:
+    if args.family in RANDOM_FAMILIES:  # build_masks checks the deterministic flags
+        fam = FAMILIES[args.family]
+        check_keys("family", args.family, fam.needs, fam.needs + fam.takes, dict.fromkeys(
+            key for key in ("L", "p", "m", "H") if getattr(args, key) is not None))
         rng = trial_rng(args.seed, PURPOSE_GEN)
         return gen_random_family(args.family, args.L, n, trials=args.gen_trials,
                                  rng=rng, q_per_device=args.Q)

@@ -206,8 +206,8 @@ def _expit(t: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(t, -700.0, 700.0)))
 
 
-def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float,
-                     sigma_w2: float, g: float = 1.0, max_iters: int = 50,
+def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, *,
+                     g: float = 1.0, max_iters: int = 50,
                      damping: float = 0.3, tol: float = 1e-6,
                      x_init: np.ndarray | None = None) -> AmpEstimate:
     """AMP recovery of the row-sparse channel matrix from Y = S X + W.
@@ -225,8 +225,8 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float,
                        the iteration stable on every family shipped here
         x_init:        optional starting X in the caller's scaling
 
-    `sigma_w2` is never read: the effective noise level tau2 = ||V||^2 / (L M)
-    is tracked from the residual V, so setting it has no effect.
+    The noise variance is not an input: the effective noise level
+    tau2 = ||V||^2 / (L M) is tracked from the residual V.
 
     Per iteration, Z = X + A^H V feeds the Bernoulli-Gaussian MMSE row
     denoiser eta(z_n) = c_n pi_n z_n, and the Onsager term uses the exact

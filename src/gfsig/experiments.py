@@ -13,21 +13,27 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import DETERMINISTIC_FAMILIES
 from .detectors import (amp_decide, cdml_decide, cdml_estimate, error_metric,
                         mmv_amp_estimate)
-from .seqgen import (MaskingSet, SignatureMatrix, build_signature_matrix,
+from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, MaskingSet,
+                     SignatureMatrix, build_signature_matrix, check_keys,
                      gen_cubic_masks, gen_pr_masks, gen_random_family,
-                     gen_sidelnikov_masks, gen_trace_masks, RANDOM_FAMILIES)
+                     gen_sidelnikov_masks, gen_trace_masks)
 from .simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL, PURPOSE_DETECTOR,
                         PURPOSE_GEN, PURPOSE_NOISE, draw_activity,
                         draw_channel, synthesize, trial_rng)
 
-DETECTORS = ("cdml", "mmvamp")
+# detector -> {config key it reads: valid interval, high end open, low end closed
+# for "[" and open for "("}; run_trial takes sigma_w2 as an argument, not from here
+DETECTORS = {
+    "cdml": {"sweeps": "[1, inf)", "xi_th": "(0, inf)", "sigma_w2": "(0, inf)"},
+    "mmvamp": {"max_iters": "[1, inf)", "damping": "[0, 1)", "xi_th": "(0, inf)",
+               "sigma_w2": "[0, inf)"},
+}
 WORKERS_ENV = "GFSIG_WORKERS"
 
 CSV_HEADER = "family,L,H,N_d,Q,K,M,detector,trials,p_e,p_e_stderr,seconds"
@@ -82,26 +88,22 @@ _KEYS = [
 ]
 
 
-# config keys read only under some families or detectors:
-# key -> (the field that decides, the values of that field that read the key)
-_SCOPED_KEYS = {
-    "L": ("family", ("cubic", "pr") + RANDOM_FAMILIES),
-    "p": ("family", ("sidelnikov", "trace")),
-    "m": ("family", ("sidelnikov", "trace")),
-    "H": ("family", ("pr", "sidelnikov")),
-    "gen_trials": ("family", RANDOM_FAMILIES),
-    "sweeps": ("detector", ("cdml",)),
-    "max_iters": ("detector", ("mmvamp",)),
-    "damping": ("detector", ("mmvamp",)),
-}
+# config keys read only under some families or some detectors
+_FAMILY_KEYS = {key for fam in FAMILIES.values() for key in fam.needs + fam.takes}
+_TUNING_KEYS = {key for keys in DETECTORS.values() for key in keys}
 
 
 def _reads(cfg: ExperimentConfig, key: str) -> bool:
     """Whether a run of `cfg` reads config key `key`."""
-    if key not in _SCOPED_KEYS:
-        return True
-    field, readers = _SCOPED_KEYS[key]
-    return getattr(cfg, field) in readers
+    fam = FAMILIES[cfg.family]
+    return (key in fam.needs + fam.takes or key in DETECTORS[cfg.detector]
+            or key not in _FAMILY_KEYS | _TUNING_KEYS)
+
+
+def _within(value, interval: str) -> bool:
+    """Whether `value` lies in an interval of DETECTORS."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return (low <= value if interval[0] == "[" else low < value) and value < high
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -169,19 +171,22 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
     or, for a config built in code, if it differs from its default.
     """
     lines = lines or {}
-    if cfg.family not in DETERMINISTIC_FAMILIES + RANDOM_FAMILIES:
+    if cfg.family not in FAMILIES:
         raise ValueError(f"unknown family {cfg.family!r}")
     if cfg.detector not in DETECTORS:
         raise ValueError(f"unknown detector {cfg.detector!r}")
-    if cfg.family in ("cubic", "pr") + RANDOM_FAMILIES and cfg.L is None:
-        raise ValueError(f"family {cfg.family!r} needs L")
-    if cfg.family in ("sidelnikov", "trace") and (cfg.p is None or cfg.m is None):
-        raise ValueError(f"family {cfg.family!r} needs p and m")
-    for key, (field, _) in _SCOPED_KEYS.items():
-        if _reads(cfg, key) or (key not in lines and getattr(cfg, key) == _DEFAULTS[key]):
-            continue
-        where = f"line {lines[key]}: " if key in lines else ""
-        raise ValueError(f"{where}{field} {getattr(cfg, field)!r} takes no {key}")
+    given = {key: lines.get(key) for key, fname, _ in _KEYS
+             if key in lines or getattr(cfg, fname) != _DEFAULTS[fname]}
+    fam = FAMILIES[cfg.family]
+    check_keys("family", cfg.family, fam.needs, fam.needs + fam.takes,
+               {k: v for k, v in given.items() if k in _FAMILY_KEYS})
+    check_keys("detector", cfg.detector, (), DETECTORS[cfg.detector],
+               {k: v for k, v in given.items() if k in _TUNING_KEYS})
+    # gen_trials is read by the random families only, and is at its default elsewhere
+    for key, interval in dict(DETECTORS[cfg.detector], gen_trials="[1, inf)").items():
+        if not _within(getattr(cfg, key), interval):
+            where = f"line {lines[key]}: " if key in lines else ""
+            raise ValueError(f"{where}{key} = {getattr(cfg, key)} must lie in {interval}")
     if cfg.n_devices < 1 or cfg.q_per_device < 1:
         raise ValueError("N_d and Q must be positive")
     if cfg.trials < 1:
@@ -192,23 +197,20 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         raise ValueError("every K must lie in [0, N_d]")
     if any(mm < 1 for mm in cfg.m_grid):
         raise ValueError("every M must be positive")
-    if cfg.sigma_w2 < 0:
-        raise ValueError("sigma_w2 must be >= 0")
     if not 0 <= cfg.base_seed < 1 << 32:  # it is a trial_rng key
         raise ValueError("base_seed must lie in [0, 2**32)")
 
 
 def build_masks(family: str, L: int | None = None, p: int | None = None,
                 m: int | None = None, H: int | None = None) -> MaskingSet:
-    if family == "cubic":
-        return gen_cubic_masks(L)
-    if family == "pr":
-        return gen_pr_masks(L, H)
-    if family == "sidelnikov":
-        return gen_sidelnikov_masks(p, m, H)
-    if family == "trace":
-        return gen_trace_masks(p, m)
-    raise ValueError(f"unknown deterministic family {family!r}")
+    """Masks of a deterministic family from the family keys given (None: not given)."""
+    if family not in DETERMINISTIC_FAMILIES:
+        raise ValueError(f"unknown deterministic family {family!r}")
+    given = {key: v for key, v in zip(("L", "p", "m", "H"), (L, p, m, H)) if v is not None}
+    fam = FAMILIES[family]
+    check_keys("family", family, fam.needs, fam.needs + fam.takes, dict.fromkeys(given))
+    # looked up per call, so a rebound gen_*_masks name (a tracer's wrapper) is called
+    return globals()[f"gen_{family}_masks"](**given)
 
 
 def build_signatures(cfg: ExperimentConfig) -> SignatureMatrix:
@@ -237,24 +239,20 @@ def run_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
     received = synthesize(S, activity, channel, sigma_w2,
                           trial_rng(base_seed, *keys, PURPOSE_NOISE))
     S_scaled = np.sqrt(S.shape[0]) * S
-    diverged = False
-    if detector == "cdml":
-        est = cdml_estimate(received.Y, S_scaled, sigma_w2,
-                            sweeps=det_params.get("sweeps", 15),
-                            rng=trial_rng(base_seed, *keys, PURPOSE_DETECTOR))
-        decision = cdml_decide(est.gamma_hat, n_devices, q_per_device,
-                               xi_th=det_params.get("xi_th", 0.25))
-    elif detector == "mmvamp":
-        rate = k_active / (n_devices * q_per_device)
-        est = mmv_amp_estimate(received.Y, S_scaled, rate, sigma_w2,
-                               max_iters=det_params.get("max_iters", 50),
-                               damping=det_params.get("damping", 0.3))
-        decision = amp_decide(est.X_hat, n_devices, q_per_device,
-                              xi_th=det_params.get("xi_th", 0.25))
-        diverged = est.diverged
-    else:
+    if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    return error_metric(activity, decision).p_e, diverged
+    # a tuning key det_params lacks takes its ExperimentConfig default
+    tune = {key: det_params.get(key, _DEFAULTS[key]) for key in DETECTORS[detector]}
+    if detector == "cdml":
+        est = cdml_estimate(received.Y, S_scaled, sigma_w2, sweeps=tune["sweeps"],
+                            rng=trial_rng(base_seed, *keys, PURPOSE_DETECTOR))
+        decision = cdml_decide(est.gamma_hat, n_devices, q_per_device, xi_th=tune["xi_th"])
+        return error_metric(activity, decision).p_e, False
+    rate = k_active / (n_devices * q_per_device)
+    est = mmv_amp_estimate(received.Y, S_scaled, rate, max_iters=tune["max_iters"],
+                           damping=tune["damping"])
+    decision = amp_decide(est.X_hat, n_devices, q_per_device, xi_th=tune["xi_th"])
+    return error_metric(activity, decision).p_e, est.diverged
 
 
 def _trial_star(args):
@@ -303,8 +301,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     validate_config(cfg)
     sig = build_signatures(cfg)
     S = sig.entries
-    det_params = {"sweeps": cfg.sweeps, "xi_th": cfg.xi_th,
-                  "max_iters": cfg.max_iters, "damping": cfg.damping}
+    det_params = {key: getattr(cfg, key) for key in DETECTORS[cfg.detector]}
     rows = []
     for k_active in cfg.k_grid:
         for n_antennas in cfg.m_grid:
@@ -338,9 +335,3 @@ def write_results(rows: list[ResultRow], path) -> None:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
             fh.write(row.csv_row() + "\n")
-
-
-def config_with(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    out = replace(cfg, **changes)
-    validate_config(out)
-    return out

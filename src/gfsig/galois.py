@@ -49,8 +49,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def find_primitive_root(p: int) -> int:
     """Smallest g >= 2 whose multiplicative order mod p is exactly p - 1."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_field(p, 1, p)
     factors = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
@@ -63,53 +62,6 @@ class FieldElement:
     """Coefficient vector (c_0, ..., c_{m-1}) of a field element, low degree first."""
 
     coeffs: tuple[int, ...]
-
-
-class PrimeField:
-    """GF(p) for odd prime p, with a fixed primitive root alpha.
-
-    log_table[x] = k for x = alpha**k mod p, and log_table[0] = 0.
-    """
-
-    def __init__(self, p: int, alpha: int | None = None):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if alpha is None:
-            alpha = find_primitive_root(p)
-        else:
-            factors = _prime_factors(p - 1)
-            if not (2 <= alpha < p) or any(pow(alpha, (p - 1) // f, p) == 1 for f in factors):
-                raise ValueError(f"{alpha} is not a primitive root of {p}")
-        self.p = p
-        self.alpha = alpha
-        exp_table = np.empty(p - 1, dtype=np.int64)
-        log_table = np.zeros(p, dtype=np.int64)
-        x = 1
-        for k in range(p - 1):
-            exp_table[k] = x
-            log_table[x] = k
-            x = x * alpha % p
-        self.exp_table = exp_table
-        self.log_table = log_table
-
-    def _as_int(self, x) -> int:
-        if isinstance(x, FieldElement):
-            if len(x.coeffs) != 1:
-                raise ValueError("prime-field element must have a single coefficient")
-            x = x.coeffs[0]
-        x = int(x)
-        if not 0 <= x < self.p:
-            raise ValueError(f"element {x} outside [0, {self.p})")
-        return x
-
-    def discrete_log(self, x) -> int:
-        return int(self.log_table[self._as_int(x)])
-
-    def trace(self, x) -> int:
-        return self._as_int(x)
-
-    def __repr__(self):
-        return f"PrimeField(p={self.p}, alpha={self.alpha})"
 
 
 def _exp_codes(p: int, m: int, poly: tuple[int, ...]) -> list[int] | None:
@@ -142,12 +94,8 @@ def _exp_codes(p: int, m: int, poly: tuple[int, ...]) -> list[int] | None:
     return codes
 
 
-def primitive_polynomials(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> list[tuple[int, ...]]:
-    """All monic primitive polynomials of degree m over GF(p).
-
-    Returned low-degree-first, ordered lexicographically by coefficients
-    compared high degree first.
-    """
+def _check_field(p: int, m: int, max_q: int) -> int:
+    """q = p**m, after rejecting an even or composite p, m < 1 and q > max_q."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if m < 1:
@@ -155,17 +103,26 @@ def primitive_polynomials(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> list[tu
     q = p**m
     if q > max_q:
         raise ValueError(f"q = {p}^{m} = {q} exceeds the table-size cap {max_q}")
-    found = []
-    for n in range(q):
-        digits = []
-        nn = n
-        for _ in range(m):
-            digits.append(nn % p)
-            nn //= p
-        poly = tuple(digits) + (1,)  # digits are low-first; n iterates high digit slowest
-        if _exp_codes(p, m, poly) is not None:
-            found.append(poly)
-    return found
+    return q
+
+
+def _primitive_polys(p: int, m: int):
+    """Yield (poly, exp codes) of each primitive polynomial, in primitive_polynomials' order."""
+    for n in range(p**m):
+        poly = tuple(n // p**i % p for i in range(m)) + (1,)  # n iterates high digit slowest
+        codes = _exp_codes(p, m, poly)
+        if codes is not None:
+            yield poly, codes
+
+
+def primitive_polynomials(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> list[tuple[int, ...]]:
+    """All monic primitive polynomials of degree m over GF(p).
+
+    Returned low-degree-first, ordered lexicographically by coefficients
+    compared high degree first.
+    """
+    _check_field(p, m, max_q)
+    return [poly for poly, _ in _primitive_polys(p, m)]
 
 
 class ExtField:
@@ -174,47 +131,26 @@ class ExtField:
     When no polynomial is given, the lexicographically smallest primitive
     polynomial (coefficients compared high degree first) is located by
     exhaustive search. For m = 1 the defining polynomial is x - alpha with
-    alpha = find_primitive_root(p), so the field behaves exactly like
-    PrimeField(p).
+    alpha = find_primitive_root(p), so the field is PrimeField(p).
     """
 
     def __init__(self, p: int, m: int, poly=None, max_q: int = DEFAULT_MAX_Q):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        q = p**m
-        if q > max_q:
-            raise ValueError(f"q = {p}^{m} = {q} exceeds the table-size cap {max_q}")
+        q = _check_field(p, m, max_q)
         self.p = p
         self.m = m
         self.q = q
 
-        if poly is not None:
+        if poly is None and m == 1:
+            poly = ((-find_primitive_root(p)) % p, 1)
+        if poly is None:
+            poly, codes = next(_primitive_polys(p, m))
+        else:
             poly = tuple(int(c) % p for c in poly)
             if len(poly) != m + 1 or poly[m] != 1:
                 raise ValueError("poly must be monic of degree m, low-degree coefficients first")
             codes = _exp_codes(p, m, poly)
             if codes is None:
                 raise ValueError(f"poly {poly} is not primitive over GF({p})")
-        elif m == 1:
-            poly = ((-find_primitive_root(p)) % p, 1)
-            codes = _exp_codes(p, m, poly)
-        else:
-            codes = None
-            for n in range(q):
-                digits = []
-                nn = n
-                for _ in range(m):
-                    digits.append(nn % p)
-                    nn //= p
-                cand = tuple(digits) + (1,)
-                codes = _exp_codes(p, m, cand)
-                if codes is not None:
-                    poly = cand
-                    break
-            if codes is None:
-                raise AssertionError(f"no primitive polynomial found for GF({p}^{m})")
         self.poly = poly
 
         exp_table = np.asarray(codes, dtype=np.int64)
@@ -310,9 +246,6 @@ class ExtField:
         """Code of the primitive element (the root of the defining polynomial)."""
         return int(self.exp_table[1])
 
-    def alpha_pow(self, k: int) -> int:
-        return int(self.exp_table[k % (self.q - 1)])
-
     def discrete_log(self, x) -> int:
         return int(self.log_table[self.encode(x)])
 
@@ -321,6 +254,19 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField(p={self.p}, m={self.m}, poly={self.poly})"
+
+
+def PrimeField(p: int, alpha: int | None = None) -> ExtField:
+    """GF(p) for odd prime p as ExtField(p, 1), with primitive root alpha.
+
+    The defining polynomial is x - alpha, so log_table[x] = k for
+    x = alpha**k mod p, and log_table[0] = 0. Without alpha, the smallest
+    primitive root is used.
+    """
+    fld = ExtField(p, 1, poly=None if alpha is None else ((-alpha) % p, 1))
+    if alpha is not None and fld.alpha != alpha:  # alpha outside [0, p), reduced mod p
+        raise ValueError(f"{alpha} is not a primitive root of {p}")
+    return fld
 
 
 def build_ext_field(p: int, m: int, poly=None, max_q: int = DEFAULT_MAX_Q) -> ExtField:

@@ -12,14 +12,53 @@ with a best-of-trials coherence selection.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import coherence
+from . import analysis
 from .galois import ExtField, PrimeField, build_ext_field, is_prime
 
-RANDOM_FAMILIES = ("gaussian", "musa", "qpsk")
+
+@dataclass(frozen=True)
+class Family:
+    """Config keys a signature family reads and, if deterministic, its coherence bound."""
+
+    needs: tuple[str, ...]  # config keys it cannot be built without
+    takes: tuple[str, ...] = ()  # config keys it also reads
+    small_columns: Callable | None = None  # (L, H) -> columns of the lambda_1 = 0 blocks
+    bound: Callable | None = None  # (L, N within those columns) -> published bound
+
+
+FAMILIES = {
+    "cubic": Family(("L",), (), lambda L, H: L * L,
+                    lambda L, small: 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L)),
+    "pr": Family(("L",), ("H",), lambda L, H: (H - 1) * L,
+                 lambda L, small: (math.sqrt(L) + 1) / L if small else (2 * math.sqrt(L) + 2) / L),
+    "sidelnikov": Family(
+        ("p", "m"), ("H",), lambda L, H: (H - 1) * L,
+        lambda L, small: (math.sqrt(L + 1) + 3) / L if small else (2 * math.sqrt(L + 1) + 4) / L),
+    "trace": Family(
+        ("p", "m"), (), lambda L, H: L * L,
+        lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L),
+    **dict.fromkeys(("gaussian", "musa", "qpsk"), Family(("L",), ("gen_trials",))),
+}
+DETERMINISTIC_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is not None)
+RANDOM_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is None)
+
+
+def check_keys(kind: str, name: str, needs, reads, given: dict) -> None:
+    """Reject a `needs` key missing from `given` (set key -> its config line or None),
+    or a `given` key not in `reads`."""
+    missing = [key for key in needs if key not in given]
+    if missing:
+        raise ValueError(f"{kind} {name!r} needs {' and '.join(missing)}")
+    for key, line in given.items():
+        if key not in reads:
+            where = "" if line is None else f"line {line}: "
+            raise ValueError(f"{where}{kind} {name!r} takes no {key}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +134,22 @@ def gen_cubic_masks(L: int) -> MaskingSet:
     return MaskingSet("cubic", L, L * L, _phases_to_masks(num, L), num, L, None, {"L": L})
 
 
-def pr_seed(pf: PrimeField, H: int) -> np.ndarray:
+def pr_seed(pf: ExtField, H: int) -> np.ndarray:
     """log_alpha(k) mod H for k = 0..L-1, with log(0) = 0."""
     return np.asarray(pf.log_table % H, dtype=np.int64)
+
+
+def _shifted_masks(family: str, seed: np.ndarray, H: int, params: dict) -> MaskingSet:
+    """Masks exp(2j pi l2 seed[(k + l1) mod L] / H), B = (H-1) L of them.
+
+    Mask b = 1..B has l1 = (b-1) // (H-1) and l2 = (b-1) % (H-1) + 1.
+    """
+    L = len(seed)
+    k = np.arange(L, dtype=np.int64)
+    shifted = seed[(k[:, None] + k[None, :]) % L]  # row l1 is seed[(k + l1) mod L]
+    lam2 = np.arange(1, H, dtype=np.int64)
+    num = (lam2[None, :, None] * shifted[:, None, :] % H).reshape((H - 1) * L, L)
+    return MaskingSet(family, L, len(num), _phases_to_masks(num, H), num, H, seed, params)
 
 
 def gen_pr_masks(L: int, H: int | None = None, alpha: int | None = None) -> MaskingSet:
@@ -108,17 +160,8 @@ def gen_pr_masks(L: int, H: int | None = None, alpha: int | None = None) -> Mask
         H = L - 1
     if H <= 2 or (L - 1) % H != 0:
         raise ValueError(f"H must exceed 2 and divide L - 1 = {L - 1}, got {H}")
-    pf = PrimeField(L, alpha=alpha)
-    lg = pf.log_table  # log(0) = 0 convention
-    B = (H - 1) * L
-    b = np.arange(1, B + 1, dtype=np.int64)
-    lam1 = (b - 1) // (H - 1)
-    lam2 = (b - 1) % (H - 1) + 1
-    k = np.arange(L, dtype=np.int64)
-    idx = (k[None, :] + lam1[:, None]) % L
-    num = (lam2[:, None] * lg[idx]) % H
-    params = {"L": L, "H": H, "alpha": pf.alpha}
-    return MaskingSet("pr", L, B, _phases_to_masks(num, H), num, H, pr_seed(pf, H), params)
+    pf = PrimeField(L, alpha=alpha)  # log(0) = 0 convention
+    return _shifted_masks("pr", pr_seed(pf, H), H, {"L": L, "H": H, "alpha": pf.alpha})
 
 
 def sidelnikov_seed(fld: ExtField, H: int) -> np.ndarray:
@@ -138,16 +181,8 @@ def gen_sidelnikov_masks(p: int, m: int, H: int | None = None, poly=None) -> Mas
         H = L
     if H < 2 or L % H != 0:
         raise ValueError(f"H must be >= 2 and divide L = {L}, got {H}")
-    base = sidelnikov_seed(fld, H)
-    B = (H - 1) * L
-    b = np.arange(1, B + 1, dtype=np.int64)
-    lam1 = (b - 1) // (H - 1)
-    lam2 = (b - 1) % (H - 1) + 1
-    k = np.arange(L, dtype=np.int64)
-    idx = (k[None, :] + lam1[:, None]) % L
-    num = (lam2[:, None] * base[idx]) % H
     params = {"p": p, "m": m, "L": L, "H": H, "poly": fld.poly}
-    return MaskingSet("sidelnikov", L, B, _phases_to_masks(num, H), num, H, base, params)
+    return _shifted_masks("sidelnikov", sidelnikov_seed(fld, H), H, params)
 
 
 def trace_seed(fld: ExtField) -> np.ndarray:
@@ -250,7 +285,7 @@ def gen_random_family(
     for _ in range(trials):
         A = _draw_candidate(kind, L, N, rng)
         A = A / np.linalg.norm(A, axis=0)
-        mu = coherence(A)
+        mu = analysis.coherence(A)
         if mu < best_mu:
             best, best_mu = A, mu
     return SignatureMatrix(

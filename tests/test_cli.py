@@ -122,6 +122,24 @@ def test_a1_full_rank_notice(capsys):
     assert "empty null space" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (["gen", "--family", "cubic"], "family 'cubic' needs L"),
+    (["gen", "--family", "sidelnikov", "--p", "3"], "family 'sidelnikov' needs m"),
+    (["gen", "--family", "cubic", "--L", "7", "--H", "5"], "family 'cubic' takes no H"),
+    (["gen", "--family", "cubic", "--L", "7", "--H", "5", "--p", "3"], "family 'cubic' takes no p"),
+    (["gen", "--family", "trace", "--p", "3", "--m", "2", "--H", "2"], "family 'trace' takes no H"),
+    (["a1", "--family", "qpsk", "--Nd", "10"], "family 'qpsk' needs L"),
+    (["a1", "--family", "qpsk", "--L", "7", "--H", "3", "--Nd", "10"], "family 'qpsk' takes no H"),
+    (["a1", "--family", "pr", "--L", "7", "--m", "1", "--Nd", "10"], "family 'pr' takes no m"),
+], ids=["gen-cubic-noL", "gen-sidelnikov-nom", "gen-cubic-H", "gen-cubic-H-p", "gen-trace-H",
+        "a1-qpsk-noL", "a1-qpsk-H", "a1-pr-m"])
+def test_family_flags_checked_against_the_family_table(capsys, argv, msg):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {msg}\n"
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_bench_reports_all_kinds(capsys):
     assert main(["bench", "--L", "11", "--N", "64", "--trials", "2"]) == 0
     out = capsys.readouterr().out

@@ -270,7 +270,7 @@ def test_amp_zero_observation_shrinks_to_zero():
     rng = np.random.default_rng(7)
     _, S_scaled, _ = random_instance(rng)
     Y = np.zeros((16, 8), dtype=complex)
-    est = mmv_amp_estimate(Y, S_scaled, 0.05, 0.1)
+    est = mmv_amp_estimate(Y, S_scaled, 0.05)
     assert np.abs(est.X_hat).max() < 1e-8
     assert not est.diverged
 
@@ -278,7 +278,7 @@ def test_amp_zero_observation_shrinks_to_zero():
 def test_amp_zero_rate_returns_zero():
     rng = np.random.default_rng(8)
     Y, S_scaled, _ = random_instance(rng)
-    est = mmv_amp_estimate(Y, S_scaled, 0.0, 0.1)
+    est = mmv_amp_estimate(Y, S_scaled, 0.0)
     assert np.all(est.X_hat == 0) and est.iterations == 0
 
 
@@ -286,11 +286,18 @@ def test_amp_validation():
     rng = np.random.default_rng(9)
     Y, S_scaled, _ = random_instance(rng)
     with pytest.raises(ValueError):
-        mmv_amp_estimate(Y, S_scaled, 1.0, 0.1)
+        mmv_amp_estimate(Y, S_scaled, 1.0)
     with pytest.raises(ValueError):
-        mmv_amp_estimate(Y, S_scaled, 0.1, 0.1, damping=1.0)
+        mmv_amp_estimate(Y, S_scaled, 0.1, damping=1.0)
     with pytest.raises(ValueError):
-        mmv_amp_estimate(Y, S_scaled, 0.1, 0.1, max_iters=0)
+        mmv_amp_estimate(Y, S_scaled, 0.1, max_iters=0)
+
+
+def test_amp_tuning_arguments_are_keyword_only():
+    rng = np.random.default_rng(9)
+    Y, S_scaled, _ = random_instance(rng)
+    with pytest.raises(TypeError):
+        mmv_amp_estimate(Y, S_scaled, 0.1, 0.1)  # a stale positional sigma_w2
 
 
 def test_amp_noiseless_single_device_recovery():
@@ -303,7 +310,7 @@ def test_amp_noiseless_single_device_recovery():
         act = draw_activity(100, 1, 4, trial_rng(4, t, PURPOSE_ACTIVITY))
         ch = draw_channel(100, 8, 4, rng=trial_rng(4, t, PURPOSE_CHANNEL))
         rec = synthesize(S, act, ch, 0.0, trial_rng(4, t, PURPOSE_NOISE))
-        est = mmv_amp_estimate(rec.Y, S_scaled, 1 / 400, 1e-12, max_iters=100)
+        est = mmv_amp_estimate(rec.Y, S_scaled, 1 / 400, max_iters=100)
         i = act.active_set[0] * 4 + int(np.argmax(act.indicators[act.active_set[0]]))
         errs.append(np.linalg.norm(est.X_hat[i] - ch.H[i]) / np.linalg.norm(ch.H[i]))
     assert np.mean(errs) <= 0.05
@@ -319,7 +326,7 @@ def test_amp_support_recovery_k10():
         act = draw_activity(200, 10, 4, trial_rng(5, t, PURPOSE_ACTIVITY))
         ch = draw_channel(200, 10, 4, rng=trial_rng(5, t, PURPOSE_CHANNEL))
         rec = synthesize(S, act, ch, 0.1, trial_rng(5, t, PURPOSE_NOISE))
-        est = mmv_amp_estimate(rec.Y, S_scaled, 10 / 800, 0.1)
+        est = mmv_amp_estimate(rec.Y, S_scaled, 10 / 800)
         res = amp_decide(est.X_hat, 200, 4)
         pes.append(error_metric(act, res).p_e)
     assert np.mean(pes) <= 0.05
@@ -334,7 +341,7 @@ def test_amp_fixed_point_keeps_support():
     ch = draw_channel(50, 6, 2, rng=trial_rng(6, 0, PURPOSE_CHANNEL))
     rec = synthesize(S, act, ch, 0.0, trial_rng(6, 0, PURPOSE_NOISE))
     X_true = (act.indicators.reshape(-1)[:, None] * ch.H).astype(complex)
-    est = mmv_amp_estimate(rec.Y, S_scaled, 5 / 100, 1e-12, max_iters=1, x_init=X_true)
+    est = mmv_amp_estimate(rec.Y, S_scaled, 5 / 100, max_iters=1, x_init=X_true)
     before = amp_decide(X_true, 50, 2)
     after = amp_decide(est.X_hat, 50, 2)
     assert np.array_equal(before.indicators_hat, after.indicators_hat)
@@ -344,7 +351,7 @@ def test_amp_divergence_flagged_not_raised():
     rng = np.random.default_rng(10)
     Y, S_scaled, _ = random_instance(rng, M=4)
     huge = 1e9 * np.ones((64, 4), dtype=complex)
-    est = mmv_amp_estimate(Y, S_scaled, 0.1, 0.1, x_init=huge, damping=0.99)
+    est = mmv_amp_estimate(Y, S_scaled, 0.1, x_init=huge, damping=0.99)
     assert est.diverged
     assert np.all(np.isfinite(est.residual_norm_trace[:-1]))
 
@@ -445,7 +452,7 @@ def test_amp_matches_reference_loop(case):
     iterations = []
     for Y, S_scaled, truth, X_true, rate in instances():
         kw = {**kwargs, "x_init": X_true} if kwargs.get("x_init") else kwargs
-        est = mmv_amp_estimate(Y, S_scaled, rate, 0.1, **kw)
+        est = mmv_amp_estimate(Y, S_scaled, rate, **kw)
         ref = reference_mmv_amp_estimate(Y, S_scaled, rate, 0.1, **kw)
         assert est.iterations == ref.iterations and est.diverged == ref.diverged
         np.testing.assert_allclose(est.residual_norm_trace, ref.residual_norm_trace,

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfsig.experiments import (CSV_HEADER, ExperimentConfig, build_signatures,
-                               format_config, parse_config, run_experiment,
-                               run_trial, validate_config, write_results)
+from gfsig.experiments import (CSV_HEADER, ExperimentConfig, build_masks,
+                               build_signatures, format_config, parse_config,
+                               run_experiment, run_trial, validate_config,
+                               write_results)
 
 TINY = ExperimentConfig(
     family="cubic", L=7, n_devices=30, q_per_device=2,
@@ -78,13 +79,66 @@ def test_config_parsing_features():
      "line 8: family 'cubic' takes no gen_trials"),
     ("family = trace\np = 3\nm = 2\ngen_trials = 10\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
      "line 4: family 'trace' takes no gen_trials"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\nsweeps = 0",
+     r"line 8: sweeps = 0 must lie in \[1, inf\)"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\nsigma_w2 = 0\ntrials = 2",
+     r"line 7: sigma_w2 = 0.0 must lie in \(0, inf\)"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ndetector = mmvamp\nmax_iters = 0\n"
+     "trials = 2", r"line 8: max_iters = 0 must lie in \[1, inf\)"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ndetector = mmvamp\ndamping = 1.5\n"
+     "trials = 2", r"line 8: damping = 1.5 must lie in \[0, 1\)"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ndetector = mmvamp\ndamping = -0.1\n"
+     "trials = 2", r"line 8: damping = -0.1 must lie in \[0, 1\)"),
+    ("family = qpsk\nL = 7\ngen_trials = 0\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     r"line 3: gen_trials = 0 must lie in \[1, inf\)"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\nxi_th = 0\ntrials = 2",
+     r"line 7: xi_th = 0.0 must lie in \(0, inf\)"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ndetector = mmvamp\nxi_th = -1\n"
+     "trials = 2", r"line 8: xi_th = -1.0 must lie in \(0, inf\)"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ndetector = mmvamp\nsigma_w2 = -1\n"
+     "trials = 2", r"line 8: sigma_w2 = -1.0 must lie in \[0, inf\)"),
 ], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet", "dupkey",
         "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L", "cubic-p",
         "pr-m", "random-p", "seed-2**32", "cdml-damping", "cdml-max_iters",
-        "mmvamp-sweeps", "cubic-gen_trials", "trace-gen_trials-default"])
+        "mmvamp-sweeps", "cubic-gen_trials", "trace-gen_trials-default",
+        "cdml-sweeps0", "cdml-sigma_w2-0", "mmvamp-max_iters0", "mmvamp-damping1.5",
+        "mmvamp-damping-negative", "random-gen_trials0", "cdml-xi_th0", "mmvamp-xi_th-1",
+        "mmvamp-sigma_w2-negative"])
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
+
+
+def test_tuning_ranges_admit_their_closed_ends():
+    cfg = parse_config("family = qpsk\nL = 7\ngen_trials = 1\nN_d = 10\nQ = 2\nK = 2\nM = 4\n"
+                       "trials = 2\ndetector = mmvamp\nmax_iters = 1\ndamping = 0\nsigma_w2 = 0")
+    assert (cfg.gen_trials, cfg.max_iters, cfg.damping, cfg.sigma_w2) == (1, 1, 0.0, 0.0)
+    assert parse_config(format_config(replace(TINY, sweeps=1))).sweeps == 1
+
+
+def test_validate_config_range_checks_a_config_built_in_code():
+    with pytest.raises(ValueError, match=r"^damping = 1.0 must lie in \[0, 1\)"):
+        validate_config(replace(TINY, detector="mmvamp", sweeps=15, damping=1.0))
+
+
+def test_run_trial_missing_tuning_keys_take_config_defaults():
+    S = build_signatures(TINY).entries
+    for detector, full in [("cdml", {"sweeps": 15, "xi_th": 0.25}),
+                           ("mmvamp", {"max_iters": 50, "damping": 0.3, "xi_th": 0.25})]:
+        assert (run_trial(S, 30, 2, 3, 4, 0.1, detector, {}, 5, 1)
+                == run_trial(S, 30, 2, 3, 4, 0.1, detector, full, 5, 1))
+
+
+def test_build_masks_checks_the_family_keys():
+    with pytest.raises(ValueError, match="family 'cubic' needs L"):
+        build_masks("cubic")
+    with pytest.raises(ValueError, match="family 'sidelnikov' needs m"):
+        build_masks("sidelnikov", p=3)
+    with pytest.raises(ValueError, match="family 'cubic' takes no H"):
+        build_masks("cubic", L=7, H=6)
+    with pytest.raises(ValueError, match="unknown deterministic family 'qpsk'"):
+        build_masks("qpsk", L=7)
+    assert build_masks("pr", L=11).params == {"L": 11, "H": 10, "alpha": 2}
 
 
 def test_format_config_writes_only_keys_read():

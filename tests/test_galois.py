@@ -48,6 +48,29 @@ def test_prime_field_rejects_non_primitive_alpha():
         PrimeField(23, alpha=2)  # order 11
 
 
+ODD_PRIMES_TO_101 = [p for p in range(3, 102) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_101)
+def test_prime_field_every_primitive_root(p):
+    for alpha in range(0, p + 2):
+        if 2 <= alpha < p and mult_order(alpha, p) == p - 1:
+            pf = PrimeField(p, alpha)
+            assert pf.alpha == alpha
+            for k in range(p - 1):
+                assert pf.log_table[pow(alpha, k, p)] == k
+            with pytest.raises(ValueError):
+                PrimeField(p, alpha + p)  # a root, but not reduced mod p
+        else:
+            with pytest.raises(ValueError):
+                PrimeField(p, alpha)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (5, 3), (11, 2)])
+def test_ext_field_default_poly_is_the_first_primitive_polynomial(p, m):
+    assert ExtField(p, m).poly == primitive_polynomials(p, m)[0]
+
+
 def test_ext_field_m1_degenerates_to_prime_field():
     f = build_ext_field(5, 1)
     assert f.q == 5
