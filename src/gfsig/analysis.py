@@ -3,7 +3,7 @@
 Everything here operates on plain complex arrays; objects carrying their
 matrix in an ``entries`` attribute (e.g. SignatureMatrix) are accepted too.
 A masked-DFT matrix that also carries its ``mask_rows`` gets its coherence
-from the masks instead of a Gram scan.
+from the masks of its family's unshifted blocks instead of a Gram scan.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .seqgen import DETERMINISTIC_FAMILIES, FAMILIES
+from .seqgen import DETERMINISTIC_FAMILIES, FAMILIES, dft_matrix
 
 
 def as_matrix(S) -> np.ndarray:
@@ -25,15 +25,16 @@ def as_matrix(S) -> np.ndarray:
 def coherence(S, block_size: int = 2048, with_pair: bool = False):
     """Maximum normalized inner product over distinct column pairs.
 
-    A masked-DFT signature matrix whose ``mask_rows`` span two or more blocks
-    is evaluated from its masks (see _masked_dft_coherence). Anything else
-    goes through the normalized Gram matrix in column blocks, so memory stays
-    bounded at large N. Raises on zero columns. with_pair=True also returns
-    the column pair (i, j), i < j, that attains the maximum.
+    A masked-DFT signature matrix with two or more blocks of ``mask_rows`` pairs
+    its family's unshifted blocks with every block (see _masked_dft_coherence).
+    Anything else goes through the normalized Gram matrix in column blocks, so
+    memory stays bounded at large N. Raises on zero columns. with_pair=True also
+    returns the column pair (i, j), i < j, that attains the maximum.
     """
     V = getattr(S, "mask_rows", None)
     if V is not None and len(V) > 1:
-        best, pair = _masked_dft_coherence(V)
+        bases = FAMILIES[S.family].bases(S.L, S.params.get("H"), len(V))
+        best, pair = _masked_dft_coherence(V, bases)
     else:
         best, pair = _gram_coherence(as_matrix(S), block_size)
     best = min(best, 1.0)
@@ -67,30 +68,30 @@ def _gram_coherence(A: np.ndarray, block_size: int) -> tuple[float, tuple[int, i
     return best, pair
 
 
-def _masked_dft_coherence(V: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Coherence of [diag(v_0) F_L, ..., diag(v_{B-1}) F_L] from its B >= 2 mask rows.
+def _masked_dft_coherence(V: np.ndarray, bases) -> tuple[float, tuple[int, int]]:
+    """Coherence of [diag(v_0) F_L, ..., diag(v_{n-1}) F_L], n >= 2, from its mask rows V.
 
-    Columns of one block are orthonormal. Column l of block b and column l'
-    of block b' > b meet in DFT(conj(v_b) v_b')[(l' - l) mod L] / L, so each
-    block pair costs one length-L DFT, taken here as a row times the unscaled
-    L x L DFT matrix: for L <= 47 that is as fast as np.fft.fft or faster
-    (2x at prime L), though np.fft wins at large smooth L such as 80. Every
-    block before the last is full, so the last block sees every shift even
-    when the matrix keeps only part of it.
+    Column l of block c meets column l' of block b in DFT(conj(v_c) v_b)[l' - l] / L.
+    Only the last block can be partial, so two blocks attain their largest |DFT|.
+    With v_b base c_b shifted by s_b, blocks b, b' with s_b <= s_b' have the |DFT|s
+    of base c_b and base c_b' shifted by s_b' - s_b, a block of any prefix that
+    holds b'. So each unshifted block in `bases` needs one row of |DFT|s against
+    every block; a row times F_L beats np.fft.fft at prime L <= 47.
     """
-    B, L = V.shape
-    kl = np.outer(np.arange(L), np.arange(L)) % L
-    W = np.exp(-2j * np.pi * kl / L)
+    L = V.shape[1]
+    F = dft_matrix(L)
     best = -1.0
     pair = (0, L)
-    for b in range(B - 1):
-        G = np.abs((V[b + 1 :] * V[b].conj()) @ W)
+    for c in bases:
+        G = np.abs((V * V[c].conj()) @ F)
+        G[c] = -1.0  # a block's own columns are orthonormal
         k = int(np.argmax(G))
         if G.flat[k] > best:
             best = float(G.flat[k])
-            r, shift = divmod(k, L)
-            pair = (b * L + (-shift) % L, (b + 1 + r) * L)  # l' = 0, l = -shift
-    return best / L, pair
+            b, shift = divmod(k, L)
+            # l' - l = shift, and column 0 of the later block, which alone may be partial
+            pair = (c * L + (-shift) % L, b * L) if c < b else (b * L + shift, c * L)
+    return best / math.sqrt(L), pair
 
 
 def welch_bound(L: int, N: int) -> float:

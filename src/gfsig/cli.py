@@ -79,13 +79,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def verify_masks(masks, n_devices: int, q_per_device: int, rng,
-                 lift_cols: int = 48, ortho_blocks: int = 10,
-                 block_size: int = 2048) -> tuple[CoherenceReport, list[str]]:
+def verify_masks(masks, n_devices: int, q_per_device: int, rng, lift_cols: int = 48,
+                 ortho_blocks: int = 10) -> tuple[CoherenceReport, list[str]]:
     """Bound, Welch, lifted-coherence, and block-orthonormality checks for one S."""
     sig = build_signature_matrix(masks, n_devices, q_per_device)
-    report = coherence_report(sig, masks.family, masks.params.get("H"),
-                              n_devices, q_per_device, block_size=block_size)
+    report = coherence_report(sig, masks.family, masks.params.get("H"), n_devices, q_per_device)
     failures = bound_failures(report)
 
     cols = rng.choice(sig.N, size=min(lift_cols, sig.N), replace=False)
@@ -107,10 +105,7 @@ def verify_masks(masks, n_devices: int, q_per_device: int, rng,
 def cmd_verify(args) -> int:
     grid = VERIFY_GRID_QUICK if args.quick else VERIFY_GRID
     if args.family:
-        grid = [(fam, kw) for fam, kw in grid if fam == args.family]
-        if not grid:
-            print(f"no grid entry for family {args.family!r}", file=sys.stderr)
-            return 1
+        grid = [(fam, kw) for fam, kw in grid if fam == args.family]  # each grid has all four
     rng = np.random.default_rng(args.seed)
     rows = [CoherenceReport.CSV_HEADER]
     ok = True
@@ -238,6 +233,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key in ("Q", "Nd", "gen_trials", "samples", "trials"):  # counts, each >= 1
+            value = getattr(args, key, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SWEEPS, XI_TH, MAX_ITERS, DAMPING = 15, 0.25, 50, 0.3  # ExperimentConfig's defaults too
+
 
 @dataclass(frozen=True)
 class MLEstimate:
@@ -67,7 +69,7 @@ CDML_BLOCK = 16
 
 
 def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
-                  sweeps: int = 15, rng: np.random.Generator | None = None,
+                  sweeps: int = SWEEPS, rng: np.random.Generator | None = None,
                   refresh_every: int = 5,
                   record_update_objective: bool = False) -> MLEstimate:
     """Coordinate-descent fit of per-signature powers to the sample covariance.
@@ -181,7 +183,7 @@ def _decide(stat: np.ndarray, xi_th: float) -> DetectionResult:
 
 
 def cdml_decide(gamma_hat: np.ndarray, n_devices: int, q_per_device: int,
-                xi_th: float = 0.25) -> DetectionResult:
+                xi_th: float = XI_TH) -> DetectionResult:
     """Per device: active with symbol argmax_q gamma iff max_q gamma >= xi_th."""
     gamma_hat = np.asarray(gamma_hat)
     if gamma_hat.size != n_devices * q_per_device:
@@ -190,7 +192,7 @@ def cdml_decide(gamma_hat: np.ndarray, n_devices: int, q_per_device: int,
 
 
 def amp_decide(X_hat: np.ndarray, n_devices: int, q_per_device: int,
-               n_antennas: int | None = None, xi_th: float = 0.25) -> DetectionResult:
+               n_antennas: int | None = None, xi_th: float = XI_TH) -> DetectionResult:
     """Per device: active iff max_q ||x_n^(q)||^2 / M >= xi_th."""
     X_hat = np.asarray(X_hat)
     if X_hat.shape[0] != n_devices * q_per_device:
@@ -207,8 +209,8 @@ def _expit(t: np.ndarray) -> np.ndarray:
 
 
 def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, *,
-                     g: float = 1.0, max_iters: int = 50,
-                     damping: float = 0.3, tol: float = 1e-6,
+                     g: float = 1.0, max_iters: int = MAX_ITERS,
+                     damping: float = DAMPING, tol: float = 1e-6,
                      x_init: np.ndarray | None = None) -> AmpEstimate:
     """AMP recovery of the row-sparse channel matrix from Y = S X + W.
 

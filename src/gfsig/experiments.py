@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .detectors import (amp_decide, cdml_decide, cdml_estimate, error_metric,
-                        mmv_amp_estimate)
+from .detectors import (DAMPING, MAX_ITERS, SWEEPS, XI_TH, amp_decide, cdml_decide,
+                        cdml_estimate, error_metric, mmv_amp_estimate)
 from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, MaskingSet,
                      SignatureMatrix, build_signature_matrix, check_keys,
                      gen_cubic_masks, gen_pr_masks, gen_random_family,
@@ -53,10 +53,10 @@ class ExperimentConfig:
     H: int | None = None
     sigma_w2: float = 0.1
     detector: str = "cdml"
-    sweeps: int = 15
-    xi_th: float = 0.25
-    max_iters: int = 50
-    damping: float = 0.3
+    sweeps: int = SWEEPS
+    xi_th: float = XI_TH
+    max_iters: int = MAX_ITERS
+    damping: float = DAMPING
     gen_trials: int = 10
     base_seed: int = 0
     output: str = "results.csv"

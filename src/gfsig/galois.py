@@ -269,6 +269,4 @@ def PrimeField(p: int, alpha: int | None = None) -> ExtField:
     return fld
 
 
-def build_ext_field(p: int, m: int, poly=None, max_q: int = DEFAULT_MAX_Q) -> ExtField:
-    """Construct GF(p^m); see ExtField for the polynomial selection rule."""
-    return ExtField(p, m, poly=poly, max_q=max_q)
+build_ext_field = ExtField  # GF(p^m); ExtField says how the polynomial is chosen

@@ -24,25 +24,35 @@ from .galois import ExtField, PrimeField, build_ext_field, is_prime
 
 @dataclass(frozen=True)
 class Family:
-    """Config keys a signature family reads and, if deterministic, its coherence bound."""
+    """Config keys a signature family reads and, if deterministic, its coherence bound.
+
+    Deterministic mask b is base c_b cyclically shifted by s_b (cubic: times exp(2j pi
+    s_b k^2 / L)): c_b, s_b = divmod(b, L) for cubic and trace, and
+    s_b, c_b = divmod(b, H - 1) for pr and sidelnikov.
+    """
 
     needs: tuple[str, ...]  # config keys it cannot be built without
     takes: tuple[str, ...] = ()  # config keys it also reads
     small_columns: Callable | None = None  # (L, H) -> columns of the lambda_1 = 0 blocks
     bound: Callable | None = None  # (L, N within those columns) -> published bound
+    bases: Callable | None = None  # (L, H, n) -> the blocks b < n with s_b = 0
 
 
 FAMILIES = {
     "cubic": Family(("L",), (), lambda L, H: L * L,
-                    lambda L, small: 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L)),
+                    lambda L, small: 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L),
+                    lambda L, H, n: range(0, n, L)),
     "pr": Family(("L",), ("H",), lambda L, H: (H - 1) * L,
-                 lambda L, small: (math.sqrt(L) + 1) / L if small else (2 * math.sqrt(L) + 2) / L),
+                 lambda L, small: (math.sqrt(L) + 1) / L if small else (2 * math.sqrt(L) + 2) / L,
+                 lambda L, H, n: range(min(n, H - 1))),
     "sidelnikov": Family(
         ("p", "m"), ("H",), lambda L, H: (H - 1) * L,
-        lambda L, small: (math.sqrt(L + 1) + 3) / L if small else (2 * math.sqrt(L + 1) + 4) / L),
+        lambda L, small: (math.sqrt(L + 1) + 3) / L if small else (2 * math.sqrt(L + 1) + 4) / L,
+        lambda L, H, n: range(min(n, H - 1))),
     "trace": Family(
         ("p", "m"), (), lambda L, H: L * L,
-        lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L),
+        lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L,
+        lambda L, H, n: range(0, n, L)),
     **dict.fromkeys(("gaussian", "musa", "qpsk"), Family(("L",), ("gen_trials",))),
 }
 DETERMINISTIC_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is not None)
@@ -79,7 +89,7 @@ class MaskingSet:
 class SignatureMatrix:
     """L x N matrix of unit-norm signature columns with contiguous device groups.
 
-    A masked-DFT matrix keeps the masks of its blocks in ``mask_rows``, row b
+    A masked-DFT matrix keeps its family's first masks in ``mask_rows``, row b
     behind columns b L .. b L + L - 1, so coherence can be read off the masks.
     """
 
@@ -124,13 +134,9 @@ def gen_cubic_masks(L: int) -> MaskingSet:
     """Cubic-phase masks exp(2j pi (l1 k^3 + l2 k^2) / L), B = L^2 of them."""
     if not is_prime(L) or L == 2:
         raise ValueError(f"L must be an odd prime, got {L}")
-    b = np.arange(1, L * L + 1, dtype=np.int64)
-    lam1 = (b - 1) // L
-    lam2 = (b - 1) % L + 1
+    lam1, lam2 = np.divmod(np.arange(L * L, dtype=np.int64)[:, None], L)  # lam2 is lambda_2 - 1
     k = np.arange(L, dtype=np.int64)
-    k3 = (k**3) % L
-    k2 = (k**2) % L
-    num = (lam1[:, None] * k3[None, :] + lam2[:, None] * k2[None, :]) % L
+    num = (lam1 * (k**3 % L) + (lam2 + 1) * (k**2 % L)) % L
     return MaskingSet("cubic", L, L * L, _phases_to_masks(num, L), num, L, None, {"L": L})
 
 
@@ -201,18 +207,12 @@ def gen_trace_masks(p: int, m: int, poly=None) -> MaskingSet:
     fld = build_ext_field(p, m, poly=poly)
     L = fld.q - 1
     t1 = trace_seed(fld)
-    B = L * (L + 1)
-    b = np.arange(1, B + 1, dtype=np.int64)
-    lam1 = (b - 1) // L  # 0..L
-    lam2 = (b - 1) % L
     k = np.arange(L, dtype=np.int64)
-    j = (k[None, :] + lam2[:, None]) % L
-    num = t1[j].copy()
-    shifted = lam1 > 0
-    second = t1[((lam1[:, None] - 1) + 2 * j) % L]
-    num[shifted] = (num[shifted] + second[shifted]) % p
+    # base l1 at k is Tr(a^k + theta a^(2k)); mask l1 L + l2 is that base at k + l2
+    base = np.vstack([t1, (t1 + t1[(k[:, None] + 2 * k[None, :]) % L]) % p])
+    num = base[:, (k[:, None] + k[None, :]) % L].reshape(L * (L + 1), L)
     params = {"p": p, "m": m, "L": L, "poly": fld.poly}
-    return MaskingSet("trace", L, B, _phases_to_masks(num, p), num, p, t1, params)
+    return MaskingSet("trace", L, len(num), _phases_to_masks(num, p), num, p, t1, params)
 
 
 def mask_block(masks: MaskingSet, b: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from gfsig.analysis import (bound_failures, coherence, coherence_report,
                             welch_bound)
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
 from gfsig.experiments import build_masks
+from gfsig.galois import is_prime
 from gfsig.seqgen import (SignatureMatrix, build_signature_matrix,
                           gen_cubic_masks, gen_pr_masks, gen_sidelnikov_masks,
                           gen_trace_masks)
@@ -64,6 +65,32 @@ def test_gram_scan_pair_is_ordered(masks, n):
 
 # --- coherence from the masks -------------------------------------------------
 
+def reference_masked_dft_coherence(V: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Coherence of [diag(v_0) F_L, ..., diag(v_{B-1}) F_L] from its B >= 2 mask rows.
+
+    Columns of one block are orthonormal. Column l of block b and column l'
+    of block b' > b meet in DFT(conj(v_b) v_b')[(l' - l) mod L] / L, so each
+    block pair costs one length-L DFT, taken here as a row times the unscaled
+    L x L DFT matrix: for L <= 47 that is as fast as np.fft.fft or faster
+    (2x at prime L), though np.fft wins at large smooth L such as 80. Every
+    block before the last is full, so the last block sees every shift even
+    when the matrix keeps only part of it.
+    """
+    B, L = V.shape
+    kl = np.outer(np.arange(L), np.arange(L)) % L
+    W = np.exp(-2j * np.pi * kl / L)
+    best = -1.0
+    pair = (0, L)
+    for b in range(B - 1):
+        G = np.abs((V[b + 1 :] * V[b].conj()) @ W)
+        k = int(np.argmax(G))
+        if G.flat[k] > best:
+            best = float(G.flat[k])
+            r, shift = divmod(k, L)
+            pair = (b * L + (-shift) % L, (b + 1 + r) * L)  # l' = 0, l = -shift
+    return best / L, pair
+
+
 # One full-size instance per family: the Gram oracle at N = B L takes 1-2 s each.
 FULL_SIZE = [("cubic", {"L": 23}), ("pr", {"L": 23, "H": 22}),
              ("sidelnikov", {"p": 5, "m": 2}), ("trace", {"p": 5, "m": 2})]
@@ -84,15 +111,73 @@ def _oracle_cases():
         yield pytest.param(masks, sorted(counts), id=f"{family}-{'-'.join(map(str, kwargs.values()))}")
 
 
+def _check_pair(sig, mu, pair):
+    i, j = pair
+    assert 0 <= i < j < sig.N, (sig.N, pair)
+    assert abs(abs(np.vdot(sig.entries[:, i], sig.entries[:, j])) - mu) < 1e-12, (sig.N, pair)
+
+
 @pytest.mark.parametrize("masks,counts", _oracle_cases())
 def test_mask_coherence_matches_gram_scan(masks, counts):
     for n in counts:
         sig = build_signature_matrix(masks, n, 1)
-        mu, (i, j) = coherence(sig, with_pair=True)
+        mu, pair = coherence(sig, with_pair=True)
         assert abs(mu - coherence(sig.entries)) < 1e-12, n
-        A = sig.entries
-        assert i != j and 0 <= min(i, j) and max(i, j) < n
-        assert abs(abs(np.vdot(A[:, i], A[:, j])) - mu) < 1e-12, n
+        if len(sig.mask_rows) > 1:
+            assert abs(mu - reference_masked_dft_coherence(sig.mask_rows)[0]) < 1e-12, n
+        _check_pair(sig, mu, pair)
+
+
+@pytest.mark.parametrize("family,kwargs", [("cubic", {"L": 7}), ("pr", {"L": 11, "H": 10}),
+                                           ("sidelnikov", {"p": 3, "m": 2}),
+                                           ("trace", {"p": 3, "m": 2})])
+def test_mask_coherence_every_column_count(family, kwargs):
+    # every prefix of every block, so each base block is also met as the partial last block
+    masks = build_masks(family, **kwargs)
+    L = masks.L
+    reference = {}  # blocks -> mu, which the columns kept of the last block do not change
+    for n in range(2, masks.B * L + 1):
+        sig = build_signature_matrix(masks, n, 1)
+        mu, pair = coherence(sig, with_pair=True)
+        blocks = len(sig.mask_rows)
+        if blocks not in reference:
+            reference[blocks] = (reference_masked_dft_coherence(sig.mask_rows)[0] if blocks > 1
+                                 else coherence(sig.entries))
+        assert abs(mu - reference[blocks]) < 1e-12, n
+        _check_pair(sig, mu, pair)
+
+
+def _bound_sweep_instances():
+    """Every (family, kwargs) the generators accept: prime L <= 47, q = p^m <= 49."""
+    primes = [n for n in range(3, 48) if is_prime(n)]
+    for L in primes:
+        yield "cubic", {"L": L}
+        for H in range(3, L):
+            if (L - 1) % H == 0:
+                yield "pr", {"L": L, "H": H}
+    for p in primes:
+        for m in range(1, 5):
+            q = p**m
+            if q > 49:
+                break
+            yield "trace", {"p": p, "m": m}
+            for H in range(2, q):
+                if (q - 1) % H == 0:
+                    yield "sidelnikov", {"p": p, "m": m, "H": H}
+
+
+def test_bound_sweep_every_instance():
+    reports = 0
+    for family, kwargs in _bound_sweep_instances():
+        masks = build_masks(family, **kwargs)
+        L, B, H = masks.L, masks.B, masks.params.get("H")
+        for n in sorted({min(small_regime_columns(family, L, H), B * L), B * L}):
+            report = coherence_report(build_signature_matrix(masks, n, 1), family, H, n, 1)
+            # Welch <= mu <= bound, to bound_failures' 1e-9: the small regime attains
+            # its bound, which mu exceeds by rounding (up to 2.5e-16, cubic L = 29)
+            assert bound_failures(report) == [], (family, kwargs, n)
+            reports += 1
+    assert reports == 332  # 166 instances, two column counts each
 
 
 def test_coherence_report_reads_the_masks(monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gfsig.cli import main
+from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK, main
+from gfsig.seqgen import DETERMINISTIC_FAMILIES
 
 PR_SEED_TEXT = "0,0,2,16,4,1,18,19,6,10,3,9,20,14,21,17,8,7,12,15,5,13,11"
 
@@ -138,6 +139,30 @@ def test_family_flags_checked_against_the_family_table(capsys, argv, msg):
     captured = capsys.readouterr()
     assert captured.err == f"error: {msg}\n"
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["gen", "--family", "pr", "--L", "11", "--Q", "0"], "--Q must be >= 1, got 0"),
+    (["gen", "--family", "pr", "--L", "11", "--Nd", "0"], "--Nd must be >= 1, got 0"),
+    (["a1", "--family", "qpsk", "--L", "7", "--Nd", "10", "--Q", "0"], "--Q must be >= 1, got 0"),
+    (["a1", "--family", "cubic", "--L", "7", "--Nd", "-3"], "--Nd must be >= 1, got -3"),
+    (["a1", "--family", "qpsk", "--L", "7", "--Nd", "10", "--gen-trials", "0"],
+     "--gen-trials must be >= 1, got 0"),
+    (["a1", "--family", "cubic", "--L", "7", "--Nd", "49", "--Q", "2", "--samples", "0"],
+     "--samples must be >= 1, got 0"),
+    (["bench", "--L", "7", "--N", "20", "--trials", "0"], "--trials must be >= 1, got 0"),
+], ids=["gen-Q", "gen-Nd", "a1-Q", "a1-Nd", "a1-gen-trials", "a1-samples", "bench-trials"])
+def test_counts_below_one_rejected(capsys, argv, msg):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {msg}\n"
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_verify_grids_cover_every_family():
+    # `verify --family` filters a grid and relies on finding the family in it
+    assert {f for f, _ in VERIFY_GRID} == {f for f, _ in VERIFY_GRID_QUICK} == set(
+        DETERMINISTIC_FAMILIES)
 
 
 def test_bench_reports_all_kinds(capsys):

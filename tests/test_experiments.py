@@ -1,9 +1,11 @@
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gfsig.detectors import amp_decide, cdml_decide, cdml_estimate, mmv_amp_estimate
 from gfsig.experiments import (CSV_HEADER, ExperimentConfig, build_masks,
                                build_signatures, format_config, parse_config,
                                run_experiment, run_trial, validate_config,
@@ -127,6 +129,14 @@ def test_run_trial_missing_tuning_keys_take_config_defaults():
                            ("mmvamp", {"max_iters": 50, "damping": 0.3, "xi_th": 0.25})]:
         assert (run_trial(S, 30, 2, 3, 4, 0.1, detector, {}, 5, 1)
                 == run_trial(S, 30, 2, 3, 4, 0.1, detector, full, 5, 1))
+
+
+@pytest.mark.parametrize("fn,key", [(cdml_estimate, "sweeps"), (cdml_decide, "xi_th"),
+                                    (amp_decide, "xi_th"), (mmv_amp_estimate, "max_iters"),
+                                    (mmv_amp_estimate, "damping")])
+def test_detector_keyword_defaults_are_the_config_defaults(fn, key):
+    config_default = {f.name: f.default for f in fields(ExperimentConfig)}[key]
+    assert inspect.signature(fn).parameters[key].default == config_default
 
 
 def test_build_masks_checks_the_family_keys():
