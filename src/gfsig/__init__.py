@@ -15,9 +15,9 @@ from .detectors import (AmpEstimate, DetectionErrors, DetectionResult,
                         MLEstimate, amp_decide, cdml_decide, cdml_estimate,
                         covariance_objective, error_metric, mmv_amp_estimate)
 from .experiments import (ExperimentConfig, ResultRow, build_masks,
-                          build_signatures, format_config, load_config,
-                          parse_config, run_experiment, run_trial,
-                          write_results)
+                          build_signatures, draw_trial, format_config,
+                          load_config, parse_config, run_experiment,
+                          run_trial, write_results)
 from .galois import (ExtField, FieldElement, PrimeField, build_ext_field,
                      find_primitive_root, is_prime, primitive_polynomials)
 from .seqgen import (MaskingSet, SignatureMatrix, build_signature_matrix,
@@ -25,8 +25,7 @@ from .seqgen import (MaskingSet, SignatureMatrix, build_signature_matrix,
                      gen_random_family, gen_sidelnikov_masks, gen_trace_masks,
                      mask_block, pr_seed, sidelnikov_seed, signature_from_csv,
                      signature_to_csv, trace_seed)
-from .simulator import (ActivityPattern, ChannelRealization, ReceivedSignal,
-                        complex_normal, draw_activity, draw_channel,
-                        synthesize, trial_rng)
+from .simulator import (ActivityPattern, complex_normal, draw_activity,
+                        draw_channel, synthesize, trial_rng)
 
 __version__ = "0.1.0"

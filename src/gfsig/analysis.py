@@ -16,34 +16,36 @@ import numpy as np
 
 from .seqgen import DETERMINISTIC_FAMILIES, FAMILIES, dft_matrix
 
+GRAM_BLOCK = 2048  # columns per block of the Gram scan, so memory stays bounded at large N
+
 
 def as_matrix(S) -> np.ndarray:
     A = getattr(S, "entries", S)
     return np.asarray(A)
 
 
-def coherence(S, block_size: int = 2048, with_pair: bool = False):
+def coherence(S, with_pair: bool = False):
     """Maximum normalized inner product over distinct column pairs.
 
     A masked-DFT signature matrix with two or more blocks of ``mask_rows`` pairs
     its family's unshifted blocks with every block (see _masked_dft_coherence).
-    Anything else goes through the normalized Gram matrix in column blocks, so
-    memory stays bounded at large N. Raises on zero columns. with_pair=True also
-    returns the column pair (i, j), i < j, that attains the maximum.
+    Anything else goes through the normalized Gram matrix, GRAM_BLOCK columns at
+    a time. Raises on zero columns. with_pair=True also returns the column pair
+    (i, j), i < j, that attains the maximum.
     """
     V = getattr(S, "mask_rows", None)
     if V is not None and len(V) > 1:
         bases = FAMILIES[S.family].bases(S.L, S.params.get("H"), len(V))
         best, pair = _masked_dft_coherence(V, bases)
     else:
-        best, pair = _gram_coherence(as_matrix(S), block_size)
+        best, pair = _gram_coherence(as_matrix(S))
     best = min(best, 1.0)
     if with_pair:
         return best, pair
     return best
 
 
-def _gram_coherence(A: np.ndarray, block_size: int) -> tuple[float, tuple[int, int]]:
+def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
     if A.ndim != 2 or A.shape[1] < 2:
         raise ValueError("need a matrix with at least 2 columns")
     norms = np.linalg.norm(A, axis=0)
@@ -53,10 +55,10 @@ def _gram_coherence(A: np.ndarray, block_size: int) -> tuple[float, tuple[int, i
     N = An.shape[1]
     best = -1.0
     pair = (0, 1)
-    for i0 in range(0, N, block_size):
-        Bi = An[:, i0 : i0 + block_size]
-        for j0 in range(i0, N, block_size):
-            Bj = An[:, j0 : j0 + block_size]
+    for i0 in range(0, N, GRAM_BLOCK):
+        Bi = An[:, i0 : i0 + GRAM_BLOCK]
+        for j0 in range(i0, N, GRAM_BLOCK):
+            Bj = An[:, j0 : j0 + GRAM_BLOCK]
             G = np.abs(Bi.conj().T @ Bj)
             if i0 == j0:  # each pair once, as (i, j) with i < j
                 G[np.tril_indices(G.shape[0])] = -1.0
@@ -266,13 +268,13 @@ class CoherenceReport:
         )
 
 
-def coherence_report(S, family: str, H: int | None, n_devices: int, q_per_device: int,
-                     block_size: int = 2048) -> CoherenceReport:
+def coherence_report(S, family: str, H: int | None, n_devices: int,
+                     q_per_device: int) -> CoherenceReport:
     A = as_matrix(S)
     L, N = A.shape
     if N != n_devices * q_per_device:
         raise ValueError("matrix width disagrees with n_devices * q_per_device")
-    mu, pair = coherence(S, block_size=block_size, with_pair=True)
+    mu, pair = coherence(S, with_pair=True)
     welch = welch_bound(L, N)
     if family in DETERMINISTIC_FAMILIES:
         bound = family_coherence_bound(family, L, H, n_devices, q_per_device)

@@ -52,6 +52,8 @@ def _family_args(parser):
 
 
 def cmd_gen(args) -> int:
+    if args.Nd and not args.matrix_csv:
+        raise ValueError("--Nd needs --matrix-csv")
     if args.family in RANDOM_FAMILIES:
         print("random families have no masking seed; use `bench` to draw and rate them",
               file=sys.stderr)
@@ -72,8 +74,7 @@ def cmd_gen(args) -> int:
                 fh.write(",".join(str(v) for v in masks.seed) + "\n")
         print(f"wrote seed to {args.out}")
     if args.matrix_csv:
-        n_devices = args.Nd if args.Nd else n_s // args.Q
-        sig = build_signature_matrix(masks, n_devices, args.Q)
+        sig = build_signature_matrix(masks, args.Nd or n_s // args.Q, args.Q)
         signature_to_csv(sig, args.matrix_csv)
         print(f"wrote {sig.L}x{sig.N} signature matrix to {args.matrix_csv}")
     return 0

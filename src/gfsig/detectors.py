@@ -209,8 +209,7 @@ def _expit(t: np.ndarray) -> np.ndarray:
 
 
 def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, *,
-                     g: float = 1.0, max_iters: int = MAX_ITERS,
-                     damping: float = DAMPING, tol: float = 1e-6,
+                     max_iters: int = MAX_ITERS, damping: float = DAMPING, tol: float = 1e-6,
                      x_init: np.ndarray | None = None) -> AmpEstimate:
     """AMP recovery of the row-sparse channel matrix from Y = S X + W.
 
@@ -219,8 +218,8 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, 
         S_scaled:      (L, N) signatures (any uniform column scaling; columns
                        are normalized internally and the estimate is mapped
                        back to the caller's scaling)
-        activity_rate: prior P(row n is active), typically K / N
-        g:             known large-scale gain; active rows are CN(0, g^2 I_M)
+        activity_rate: prior P(row n is active), typically K / N; active
+                       rows are CN(0, I_M)
         damping:       convex mixing with the previous iterate, in [0, 1).
                        Structured signature matrices excite period-2
                        oscillations at damping 0; the 0.3 default keeps
@@ -257,7 +256,7 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, 
         raise ValueError("signature matrix has a zero column")
     A = S_scaled / norms
     AH = np.ascontiguousarray(A.conj().T)
-    v = (norms**2) * g**2  # per-row active variance in unit-column coordinates
+    v = norms**2  # per-row active variance in unit-column coordinates
     lam = activity_rate
     log_prior_odds = np.log(lam) - np.log1p(-lam)
 

@@ -223,10 +223,9 @@ def build_signatures(cfg: ExperimentConfig) -> SignatureMatrix:
                              q_per_device=cfg.q_per_device)
 
 
-def run_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
-              n_antennas: int, sigma_w2: float, detector: str, det_params: dict,
-              base_seed: int, trial: int) -> tuple[float, bool]:
-    """One Monte-Carlo trial; returns (P_e, diverged).
+def draw_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
+               n_antennas: int, sigma_w2: float, base_seed: int, trial: int):
+    """Draws of one trial: (activity, channel rows H, Y, detector rng).
 
     Stream keys omit the family and detector so that runs over different
     signature sets see identical activity, channel, and noise draws.
@@ -234,22 +233,29 @@ def run_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
     keys = (k_active, n_antennas, trial)
     activity = draw_activity(n_devices, k_active, q_per_device,
                              trial_rng(base_seed, *keys, PURPOSE_ACTIVITY))
-    channel = draw_channel(n_devices, n_antennas, q_per_device,
-                           rng=trial_rng(base_seed, *keys, PURPOSE_CHANNEL))
-    received = synthesize(S, activity, channel, sigma_w2,
-                          trial_rng(base_seed, *keys, PURPOSE_NOISE))
+    H = draw_channel(n_devices, n_antennas, q_per_device,
+                     trial_rng(base_seed, *keys, PURPOSE_CHANNEL))
+    Y = synthesize(S, activity, H, sigma_w2, trial_rng(base_seed, *keys, PURPOSE_NOISE))
+    return activity, H, Y, trial_rng(base_seed, *keys, PURPOSE_DETECTOR)
+
+
+def run_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
+              n_antennas: int, sigma_w2: float, detector: str, det_params: dict,
+              base_seed: int, trial: int) -> tuple[float, bool]:
+    """One Monte-Carlo trial of draw_trial's draws; returns (P_e, diverged)."""
+    activity, _, Y, rng = draw_trial(S, n_devices, q_per_device, k_active, n_antennas,
+                                     sigma_w2, base_seed, trial)
     S_scaled = np.sqrt(S.shape[0]) * S
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
     # a tuning key det_params lacks takes its ExperimentConfig default
     tune = {key: det_params.get(key, _DEFAULTS[key]) for key in DETECTORS[detector]}
     if detector == "cdml":
-        est = cdml_estimate(received.Y, S_scaled, sigma_w2, sweeps=tune["sweeps"],
-                            rng=trial_rng(base_seed, *keys, PURPOSE_DETECTOR))
+        est = cdml_estimate(Y, S_scaled, sigma_w2, sweeps=tune["sweeps"], rng=rng)
         decision = cdml_decide(est.gamma_hat, n_devices, q_per_device, xi_th=tune["xi_th"])
         return error_metric(activity, decision).p_e, False
     rate = k_active / (n_devices * q_per_device)
-    est = mmv_amp_estimate(received.Y, S_scaled, rate, max_iters=tune["max_iters"],
+    est = mmv_amp_estimate(Y, S_scaled, rate, max_iters=tune["max_iters"],
                            damping=tune["damping"])
     decision = amp_decide(est.X_hat, n_devices, q_per_device, xi_th=tune["xi_th"])
     return error_metric(activity, decision).p_e, est.diverged

@@ -26,33 +26,37 @@ from .galois import ExtField, PrimeField, build_ext_field, is_prime
 class Family:
     """Config keys a signature family reads and, if deterministic, its coherence bound.
 
-    Deterministic mask b is base c_b cyclically shifted by s_b (cubic: times exp(2j pi
-    s_b k^2 / L)): c_b, s_b = divmod(b, L) for cubic and trace, and
-    s_b, c_b = divmod(b, H - 1) for pr and sidelnikov.
+    Deterministic mask b is the mask of its base block c_b cyclically shifted by s_b,
+    v_b[k] = v_(c_b)[k + s_b], or for a chirped family v_(c_b)[k] exp(2j pi s_b k^2 / L).
     """
 
     needs: tuple[str, ...]  # config keys it cannot be built without
     takes: tuple[str, ...] = ()  # config keys it also reads
     small_columns: Callable | None = None  # (L, H) -> columns of the lambda_1 = 0 blocks
     bound: Callable | None = None  # (L, N within those columns) -> published bound
-    bases: Callable | None = None  # (L, H, n) -> the blocks b < n with s_b = 0
+    shift_rule: Callable | None = None  # (L, H, blocks b) -> (c_b, s_b), both arrays
+    chirp: bool = False  # s_b multiplies by the k^2 chirp instead of shifting
+
+    def bases(self, L: int, H: int | None, n: int) -> list[int]:
+        """The blocks b < n with s_b = 0."""
+        return np.flatnonzero(self.shift_rule(L, H, np.arange(n))[1] == 0).tolist()
 
 
 FAMILIES = {
     "cubic": Family(("L",), (), lambda L, H: L * L,
                     lambda L, small: 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L),
-                    lambda L, H, n: range(0, n, L)),
+                    lambda L, H, b: (b - b % L, b % L), chirp=True),
     "pr": Family(("L",), ("H",), lambda L, H: (H - 1) * L,
                  lambda L, small: (math.sqrt(L) + 1) / L if small else (2 * math.sqrt(L) + 2) / L,
-                 lambda L, H, n: range(min(n, H - 1))),
+                 lambda L, H, b: (b % (H - 1), b // (H - 1))),
     "sidelnikov": Family(
         ("p", "m"), ("H",), lambda L, H: (H - 1) * L,
         lambda L, small: (math.sqrt(L + 1) + 3) / L if small else (2 * math.sqrt(L + 1) + 4) / L,
-        lambda L, H, n: range(min(n, H - 1))),
+        lambda L, H, b: (b % (H - 1), b // (H - 1))),
     "trace": Family(
         ("p", "m"), (), lambda L, H: L * L,
         lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L,
-        lambda L, H, n: range(0, n, L)),
+        lambda L, H, b: (b - b % L, b % L)),
     **dict.fromkeys(("gaussian", "musa", "qpsk"), Family(("L",), ("gen_trials",))),
 }
 DETERMINISTIC_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is not None)
@@ -102,9 +106,24 @@ class SignatureMatrix:
     mask_rows: np.ndarray | None = None  # (ceil(N / L), L) complex, or None
 
     def __post_init__(self):
-        if self.mask_rows is not None and self.mask_rows.shape != (-(-self.N // self.L), self.L):
-            raise ValueError(f"mask_rows of shape {self.mask_rows.shape} do not fit "
-                             f"an {self.L} x {self.N} masked-DFT matrix")
+        V, L = self.mask_rows, self.L
+        if V is None:
+            return
+        if V.shape != (-(-self.N // L), L) or self.family not in DETERMINISTIC_FAMILIES:
+            raise ValueError(f"mask_rows of shape {V.shape} do not fit an {L} x {self.N} "
+                             f"masked-DFT matrix of family {self.family!r}")
+        fam = FAMILIES[self.family]
+        c, s = fam.shift_rule(L, self.params.get("H"), np.arange(len(V)))
+        k = np.arange(L)
+        if fam.chirp:
+            want = V[c] * np.exp(2j * np.pi * (np.outer(k, k * k) % L) / L)[s]
+        else:
+            want = V[c[:, None], (k + s[:, None]) % L]
+        bad = np.flatnonzero(np.abs(V - want).max(axis=1) > 1e-9)
+        if bad.size:
+            b = bad[0]
+            raise ValueError(f"mask row {b} is not row {c[b]} shifted by {s[b]}, "
+                             f"as block {b} of the {self.family} family is")
 
     @property
     def L(self) -> int:

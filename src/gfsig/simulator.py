@@ -51,31 +51,8 @@ class ActivityPattern:
     active_set: np.ndarray  # sorted device indices with a nonzero indicator
 
     @property
-    def n_devices(self) -> int:
-        return self.indicators.shape[0]
-
-    @property
-    def q_per_device(self) -> int:
-        return self.indicators.shape[1]
-
-    @property
     def k(self) -> int:
         return self.active_set.size
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Channel rows grouped Q at a time; rows within a group are identical."""
-
-    H: np.ndarray  # (N_d * Q, M) complex
-    g: np.ndarray  # (N_d,) large-scale gains
-    q_per_device: int
-
-
-@dataclass(frozen=True)
-class ReceivedSignal:
-    Y: np.ndarray  # (L, M) complex
-    sigma_w2: float
 
 
 def draw_activity(n_devices: int, k_active: int, q_per_device: int,
@@ -94,27 +71,18 @@ def draw_activity(n_devices: int, k_active: int, q_per_device: int,
 
 
 def draw_channel(n_devices: int, n_antennas: int, q_per_device: int,
-                 g: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None) -> ChannelRealization:
-    """One CN(0, I_M) vector per device, replicated across its Q rows."""
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """(N_d Q, M) channel rows: one CN(0, I_M) vector per device, repeated over its Q rows."""
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
     if rng is None:
         rng = np.random.default_rng()
-    if g is None:
-        g = np.ones(n_devices)
-    else:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (n_devices,):
-            raise ValueError("g must have one entry per device")
-    h = complex_normal(rng, (n_devices, n_antennas))
-    H = np.repeat(h, q_per_device, axis=0)
-    return ChannelRealization(H, g, q_per_device)
+    return np.repeat(complex_normal(rng, (n_devices, n_antennas)), q_per_device, axis=0)
 
 
-def synthesize(S, activity: ActivityPattern, channel: ChannelRealization,
-               sigma_w2: float, rng: np.random.Generator) -> ReceivedSignal:
-    """Y = sqrt(L) S Gamma^(1/2) H + W for unit-norm signature columns.
+def synthesize(S, activity: ActivityPattern, H: np.ndarray, sigma_w2: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """Y = sqrt(L) S Gamma^(1/2) H + W, (L, M), for unit-norm signature columns.
 
     Columns are rescaled to norm sqrt(L) here, never in the stored matrix.
     """
@@ -122,12 +90,10 @@ def synthesize(S, activity: ActivityPattern, channel: ChannelRealization,
     L, N = A.shape
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be >= 0")
-    nd, q = activity.indicators.shape
-    if N != nd * q or channel.H.shape[0] != N:
+    if N != activity.indicators.size or H.shape[0] != N:
         raise ValueError("shape mismatch between signatures, activity, and channel")
-    gamma_sqrt = (channel.g[:, None] * activity.indicators).reshape(N)
-    act = np.flatnonzero(gamma_sqrt)
-    Y = np.sqrt(L) * (A[:, act] * gamma_sqrt[act]) @ channel.H[act]
+    act = np.flatnonzero(activity.indicators)
+    Y = (np.sqrt(L) * A[:, act]) @ H[act]
     if sigma_w2 > 0:
-        Y = Y + complex_normal(rng, (L, channel.H.shape[1]), var=sigma_w2)
-    return ReceivedSignal(Y, sigma_w2)
+        Y = Y + complex_normal(rng, (L, H.shape[1]), var=sigma_w2)
+    return Y

@@ -13,17 +13,17 @@ from scipy import stats
 
 from gfsig.analysis import (coherence, family_coherence_bound,
                             khatri_rao_lift, ml_coherence_condition,
-                            null_space_sign_ratio, welch_bound)
+                            null_space_sign_ratio, small_regime_columns,
+                            welch_bound)
+from gfsig.cli import VERIFY_GRID
 from gfsig.detectors import cdml_decide, cdml_estimate, error_metric
-from gfsig.experiments import run_trial
+from gfsig.experiments import build_masks, draw_trial, run_trial
 from gfsig.galois import build_ext_field, primitive_polynomials
 from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_random_family,
                           gen_sidelnikov_masks, gen_trace_masks, mask_block,
                           sidelnikov_seed, trace_seed)
-from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
-                             PURPOSE_DETECTOR, PURPOSE_GEN, PURPOSE_NOISE,
-                             draw_activity, draw_channel, synthesize, trial_rng)
+from gfsig.simulator import PURPOSE_GEN, trial_rng
 
 PR_SEED = [0, 0, 2, 16, 4, 1, 18, 19, 6, 10, 3, 9, 20, 14, 21, 17, 8, 7, 12, 15, 5, 13, 11]
 SID_SEED = [6, 17, 5, 2, 11, 13, 18, 21, 4, 19, 1, 9, 0, 22, 15, 10, 20, 14, 12, 8, 7, 23, 3, 16]
@@ -67,22 +67,12 @@ def test_criterion_01_seed_tables():
 
 
 def test_criterion_02_coherence_bounds_grid():
-    grid = [
-        ("cubic", gen_cubic_masks(7)),
-        ("cubic", gen_cubic_masks(11)),
-        ("cubic", gen_cubic_masks(23)),
-        ("pr", gen_pr_masks(11, 10)),
-        ("pr", gen_pr_masks(23, 22)),
-        ("sidelnikov", gen_sidelnikov_masks(5, 2)),
-        ("sidelnikov", gen_sidelnikov_masks(3, 3)),
-        ("trace", gen_trace_masks(5, 2)),
-        ("trace", gen_trace_masks(3, 3)),
-    ]
+    grid = [build_masks(family, **kwargs) for family, kwargs in VERIFY_GRID]
     tol = 1e-9
     failures = []
-    for family, masks in grid:
-        L, B, H = masks.L, masks.B, masks.params.get("H")
-        small_n = L * L if family in ("cubic", "trace") else (H - 1) * L
+    for masks in grid:
+        family, L, B, H = masks.family, masks.L, masks.B, masks.params.get("H")
+        small_n = small_regime_columns(family, L, H)
         for n_cols in (small_n, B * L):  # both device-count regimes
             sig = build_signature_matrix(masks, n_cols, 1)
             mu = coherence(sig)
@@ -166,7 +156,7 @@ def test_criterion_06_objective_monotone_per_update():
 
 def cdml_trial_margins(S, n_devices, q_per_device, k_active, n_antennas,
                        sigma_w2, base_seed, trial):
-    """One CD-ML trial drawn exactly as `run_trial` draws it.
+    """One CD-ML trial of `draw_trial`'s draws, as `run_trial` runs it.
 
     Returns (P_e, lo, hi) from a single estimate: lo is the smallest
     gamma_hat at a transmitted symbol of an active device, hi the largest
@@ -174,16 +164,10 @@ def cdml_trial_margins(S, n_devices, q_per_device, k_active, n_antennas,
     threshold-and-argmax decision recovers every device, so each trial with
     an error has lo < xi_th or hi >= xi_th.
     """
-    keys = (k_active, n_antennas, trial)
-    activity = draw_activity(n_devices, k_active, q_per_device,
-                             trial_rng(base_seed, *keys, PURPOSE_ACTIVITY))
-    channel = draw_channel(n_devices, n_antennas, q_per_device,
-                           rng=trial_rng(base_seed, *keys, PURPOSE_CHANNEL))
-    received = synthesize(S, activity, channel, sigma_w2,
-                          trial_rng(base_seed, *keys, PURPOSE_NOISE))
-    est = cdml_estimate(received.Y, np.sqrt(S.shape[0]) * S, sigma_w2,
-                        sweeps=CDML_PARAMS["sweeps"],
-                        rng=trial_rng(base_seed, *keys, PURPOSE_DETECTOR))
+    activity, _, Y, rng = draw_trial(S, n_devices, q_per_device, k_active, n_antennas,
+                                     sigma_w2, base_seed, trial)
+    est = cdml_estimate(Y, np.sqrt(S.shape[0]) * S, sigma_w2,
+                        sweeps=CDML_PARAMS["sweeps"], rng=rng)
     decision = cdml_decide(est.gamma_hat, n_devices, q_per_device,
                            xi_th=CDML_PARAMS["xi_th"])
     sent = activity.indicators.reshape(-1).astype(bool)

@@ -13,7 +13,7 @@ from gfsig.analysis import (bound_failures, coherence, coherence_report,
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
 from gfsig.experiments import build_masks
 from gfsig.galois import is_prime
-from gfsig.seqgen import (SignatureMatrix, build_signature_matrix,
+from gfsig.seqgen import (SignatureMatrix, build_signature_matrix, dft_matrix,
                           gen_cubic_masks, gen_pr_masks, gen_sidelnikov_masks,
                           gen_trace_masks)
 
@@ -58,7 +58,7 @@ def test_coherence_argmax_pair():
 def test_gram_scan_pair_is_ordered(masks, n):
     # both maxima lie inside one diagonal block of the Gram scan
     A = build_signature_matrix(masks, n, 1).entries
-    mu, (i, j) = analysis._gram_coherence(A, 2048)
+    mu, (i, j) = analysis._gram_coherence(A)
     assert i < j
     assert abs(abs(np.vdot(A[:, i], A[:, j])) - mu) < 1e-12
 
@@ -196,6 +196,36 @@ def test_mask_rows_must_fit_the_matrix():
     assert sig.mask_rows.shape == (3, 7)
     with pytest.raises(ValueError, match="mask_rows"):
         SignatureMatrix(sig.entries, 20, 1, "cubic", mask_rows=sig.mask_rows[:2])
+    with pytest.raises(ValueError, match="mask_rows"):
+        SignatureMatrix(sig.entries, 20, 1, "qpsk", mask_rows=sig.mask_rows)
+
+
+def test_mask_rows_must_be_shifted_bases():
+    # random unimodular rows: the base-block path reads row 0 only and would
+    # understate mu against the Gram scan (in 21 of these 50 seeds), so the
+    # rows are refused
+    F = dft_matrix(7)
+    understated = 0
+    for seed in range(50):
+        V = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=(3, 7)))
+        A = (V.T[:, :, None] * F[:, None, :]).reshape(7, 21)
+        understated += analysis._masked_dft_coherence(V, [0])[0] < coherence(A) - 1e-12
+        with pytest.raises(ValueError, match="mask row 1 is not row 0 shifted by 1, "
+                                             "as block 1 of the cubic family is"):
+            SignatureMatrix(A, 21, 1, "cubic", {"L": 7}, mask_rows=V)
+    assert understated == 21
+    # one bad row among good ones is named, under the family's own rule
+    for masks, n, b, msg in [(gen_cubic_masks(7), 20, 2, "row 2 is not row 0 shifted by 2"),
+                             (gen_pr_masks(11, 10), 121, 10, "row 10 is not row 1 shifted by 1"),
+                             (gen_trace_masks(3, 2), 40, 4, "row 4 is not row 0 shifted by 4")]:
+        sig = build_signature_matrix(masks, n, 1)
+        V = sig.mask_rows.copy()
+        V[b] = V[b][::-1]
+        with pytest.raises(ValueError, match=msg):
+            SignatureMatrix(sig.entries, n, 1, sig.family, sig.params, mask_rows=V)
+    pr = build_signature_matrix(gen_pr_masks(11, 10), 121, 1)
+    with pytest.raises(ValueError, match="row 1 is not row 0 shifted by 1"):
+        SignatureMatrix(pr.entries, 121, 1, "trace", mask_rows=pr.mask_rows)
 
 
 def test_cubic_L47_all_columns_within_bounds():

@@ -38,6 +38,13 @@ def test_gen_capacity_and_outputs(tmp_path, capsys):
     assert signature_from_csv(mat_file).shape == (11, 80)
 
 
+def test_gen_nd_needs_matrix_csv(capsys):
+    assert main(["gen", "--family", "pr", "--L", "11", "--Nd", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --Nd needs --matrix-csv\n"
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_verify_quick_passes(capsys):
     assert main(["verify", "--quick"]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import pytest
 from gfsig.detectors import (CDML_BLOCK, AmpEstimate, MLEstimate, amp_decide,
                              cdml_decide, cdml_estimate, covariance_objective,
                              error_metric, mmv_amp_estimate)
+from gfsig.experiments import draw_trial
 from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
                           gen_random_family)
 from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
@@ -92,9 +93,9 @@ def test_cdml_single_active_device_argmax():
     trials = 200
     for t in range(trials):
         act = draw_activity(n_dev, 1, Q, trial_rng(3, t, PURPOSE_ACTIVITY))
-        ch = draw_channel(n_dev, M, Q, rng=trial_rng(3, t, PURPOSE_CHANNEL))
-        rec = synthesize(A, act, ch, 0.1, trial_rng(3, t, PURPOSE_NOISE))
-        est = cdml_estimate(rec.Y, S_scaled, 0.1, sweeps=8,
+        H = draw_channel(n_dev, M, Q, rng=trial_rng(3, t, PURPOSE_CHANNEL))
+        Y = synthesize(A, act, H, 0.1, trial_rng(3, t, PURPOSE_NOISE))
+        est = cdml_estimate(Y, S_scaled, 0.1, sweeps=8,
                             rng=trial_rng(3, t, PURPOSE_DETECTOR))
         if np.argmax(est.gamma_hat) // Q == act.active_set[0]:
             hits += 1
@@ -138,14 +139,11 @@ def reference_cdml_estimate(Y, S_scaled, sigma_w2, sweeps=15, rng=None,
 # Oracle instances yield (Y, S_scaled, true indicators (N_d, Q), detector rng).
 
 def cubic_instances(K, M, trials, n_devices=200, Q=4):
-    """Cubic L = 23 trials at base seed 1, drawn as run_trial draws them."""
+    """Cubic L = 23 trials at base seed 1, drawn by run_trial's draw_trial."""
     S = build_signature_matrix(gen_cubic_masks(23), n_devices, Q).entries
     for t in range(trials):
-        keys = (K, M, t)
-        act = draw_activity(n_devices, K, Q, trial_rng(1, *keys, PURPOSE_ACTIVITY))
-        ch = draw_channel(n_devices, M, Q, rng=trial_rng(1, *keys, PURPOSE_CHANNEL))
-        rec = synthesize(S, act, ch, 0.1, trial_rng(1, *keys, PURPOSE_NOISE))
-        yield rec.Y, np.sqrt(23) * S, act.indicators, trial_rng(1, *keys, PURPOSE_DETECTOR)
+        act, _, Y, rng = draw_trial(S, n_devices, Q, K, M, 0.1, 1, t)
+        yield Y, np.sqrt(23) * S, act.indicators, rng
 
 
 def qpsk_instances(trials, L=16, n_devices=50, Q=2):
@@ -154,9 +152,9 @@ def qpsk_instances(trials, L=16, n_devices=50, Q=2):
     rng = np.random.default_rng(12)
     for _ in range(trials):
         act = draw_activity(n_devices, 8, Q, rng)
-        ch = draw_channel(n_devices, 32, Q, rng=rng)
-        rec = synthesize(A, act, ch, 0.1, rng)
-        yield rec.Y, np.sqrt(L) * A, act.indicators, np.random.default_rng(rng.integers(1 << 32))
+        H = draw_channel(n_devices, 32, Q, rng=rng)
+        Y = synthesize(A, act, H, 0.1, rng)
+        yield Y, np.sqrt(L) * A, act.indicators, np.random.default_rng(rng.integers(1 << 32))
 
 
 def short_instances(trials):
@@ -308,11 +306,11 @@ def test_amp_noiseless_single_device_recovery():
     errs = []
     for t in range(100):
         act = draw_activity(100, 1, 4, trial_rng(4, t, PURPOSE_ACTIVITY))
-        ch = draw_channel(100, 8, 4, rng=trial_rng(4, t, PURPOSE_CHANNEL))
-        rec = synthesize(S, act, ch, 0.0, trial_rng(4, t, PURPOSE_NOISE))
-        est = mmv_amp_estimate(rec.Y, S_scaled, 1 / 400, max_iters=100)
+        H = draw_channel(100, 8, 4, rng=trial_rng(4, t, PURPOSE_CHANNEL))
+        Y = synthesize(S, act, H, 0.0, trial_rng(4, t, PURPOSE_NOISE))
+        est = mmv_amp_estimate(Y, S_scaled, 1 / 400, max_iters=100)
         i = act.active_set[0] * 4 + int(np.argmax(act.indicators[act.active_set[0]]))
-        errs.append(np.linalg.norm(est.X_hat[i] - ch.H[i]) / np.linalg.norm(ch.H[i]))
+        errs.append(np.linalg.norm(est.X_hat[i] - H[i]) / np.linalg.norm(H[i]))
     assert np.mean(errs) <= 0.05
 
 
@@ -324,9 +322,9 @@ def test_amp_support_recovery_k10():
     pes = []
     for t in range(200):
         act = draw_activity(200, 10, 4, trial_rng(5, t, PURPOSE_ACTIVITY))
-        ch = draw_channel(200, 10, 4, rng=trial_rng(5, t, PURPOSE_CHANNEL))
-        rec = synthesize(S, act, ch, 0.1, trial_rng(5, t, PURPOSE_NOISE))
-        est = mmv_amp_estimate(rec.Y, S_scaled, 10 / 800)
+        H = draw_channel(200, 10, 4, rng=trial_rng(5, t, PURPOSE_CHANNEL))
+        Y = synthesize(S, act, H, 0.1, trial_rng(5, t, PURPOSE_NOISE))
+        est = mmv_amp_estimate(Y, S_scaled, 10 / 800)
         res = amp_decide(est.X_hat, 200, 4)
         pes.append(error_metric(act, res).p_e)
     assert np.mean(pes) <= 0.05
@@ -338,10 +336,10 @@ def test_amp_fixed_point_keeps_support():
     S = sig.entries
     S_scaled = np.sqrt(23) * S
     act = draw_activity(50, 5, 2, trial_rng(6, 0, PURPOSE_ACTIVITY))
-    ch = draw_channel(50, 6, 2, rng=trial_rng(6, 0, PURPOSE_CHANNEL))
-    rec = synthesize(S, act, ch, 0.0, trial_rng(6, 0, PURPOSE_NOISE))
-    X_true = (act.indicators.reshape(-1)[:, None] * ch.H).astype(complex)
-    est = mmv_amp_estimate(rec.Y, S_scaled, 5 / 100, max_iters=1, x_init=X_true)
+    H = draw_channel(50, 6, 2, rng=trial_rng(6, 0, PURPOSE_CHANNEL))
+    Y = synthesize(S, act, H, 0.0, trial_rng(6, 0, PURPOSE_NOISE))
+    X_true = (act.indicators.reshape(-1)[:, None] * H).astype(complex)
+    est = mmv_amp_estimate(Y, S_scaled, 5 / 100, max_iters=1, x_init=X_true)
     before = amp_decide(X_true, 50, 2)
     after = amp_decide(est.X_hat, 50, 2)
     assert np.array_equal(before.indicators_hat, after.indicators_hat)
@@ -356,14 +354,14 @@ def test_amp_divergence_flagged_not_raised():
     assert np.all(np.isfinite(est.residual_norm_trace[:-1]))
 
 
-def reference_mmv_amp_estimate(Y, S_scaled, activity_rate, sigma_w2, g=1.0, max_iters=50,
+def reference_mmv_amp_estimate(Y, S_scaled, activity_rate, sigma_w2, max_iters=50,
                                damping=0.3, tol=1e-6, x_init=None):
     """The MMV-AMP loop mmv_amp_estimate must reproduce, written term by term."""
     L, M = Y.shape
     N = S_scaled.shape[1]
     norms = np.linalg.norm(S_scaled, axis=0)
     A = S_scaled / norms
-    v = (norms**2) * g**2
+    v = norms**2
     lam = activity_rate
     log_prior_odds = np.log(lam) - np.log1p(-lam)
 
@@ -405,18 +403,15 @@ def reference_mmv_amp_estimate(Y, S_scaled, activity_rate, sigma_w2, g=1.0, max_
 
 
 def amp_instances(M, trials, K=10, n_devices=200, Q=4):
-    """Cubic L = 23 MMV-AMP trials at base seed 1, drawn as run_trial draws them.
+    """Cubic L = 23 MMV-AMP trials at base seed 1, drawn by run_trial's draw_trial.
 
     Yields (Y, S_scaled, true indicators (N_d, Q), true X, activity rate).
     """
     S = build_signature_matrix(gen_cubic_masks(23), n_devices, Q).entries
     for t in range(trials):
-        keys = (K, M, t)
-        act = draw_activity(n_devices, K, Q, trial_rng(1, *keys, PURPOSE_ACTIVITY))
-        ch = draw_channel(n_devices, M, Q, rng=trial_rng(1, *keys, PURPOSE_CHANNEL))
-        rec = synthesize(S, act, ch, 0.1, trial_rng(1, *keys, PURPOSE_NOISE))
-        X_true = act.indicators.reshape(-1)[:, None] * ch.H
-        yield rec.Y, np.sqrt(23) * S, act.indicators, X_true, K / (n_devices * Q)
+        act, H, Y, _ = draw_trial(S, n_devices, Q, K, M, 0.1, 1, t)
+        X_true = act.indicators.reshape(-1)[:, None] * H
+        yield Y, np.sqrt(23) * S, act.indicators, X_true, K / (n_devices * Q)
 
 
 def divergent_instance():

@@ -7,9 +7,9 @@ import pytest
 
 from gfsig.detectors import amp_decide, cdml_decide, cdml_estimate, mmv_amp_estimate
 from gfsig.experiments import (CSV_HEADER, ExperimentConfig, build_masks,
-                               build_signatures, format_config, parse_config,
-                               run_experiment, run_trial, validate_config,
-                               write_results)
+                               build_signatures, draw_trial, format_config,
+                               parse_config, run_experiment, run_trial,
+                               validate_config, write_results)
 
 TINY = ExperimentConfig(
     family="cubic", L=7, n_devices=30, q_per_device=2,
@@ -200,6 +200,23 @@ def test_run_trial_paired_across_families():
     p1, _ = run_trial(S, 30, 2, 3, 4, 0.1, "cdml", {"sweeps": 4}, 5, 0)
     p2, _ = run_trial(S, 30, 2, 3, 4, 0.1, "cdml", {"sweeps": 4}, 5, 0)
     assert p1 == p2  # bit-for-bit repeatable
+
+
+def test_draw_trial_shares_draws_across_signature_sets():
+    # activity, channel and detector stream come from the (base_seed, K, M, trial)
+    # keys alone; the noiseless Y is sqrt(L) S Gamma^(1/2) H for either S
+    S = build_signatures(TINY).entries
+    rng = np.random.default_rng(0)
+    other = rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape)
+    other /= np.linalg.norm(other, axis=0)
+    act, H, Y, det = draw_trial(S, 30, 2, 3, 4, 0.0, 5, 0)
+    act2, H2, Y2, det2 = draw_trial(other, 30, 2, 3, 4, 0.0, 5, 0)
+    assert np.array_equal(act.indicators, act2.indicators) and np.array_equal(H, H2)
+    assert det.integers(1 << 30, size=4).tolist() == det2.integers(1 << 30, size=4).tolist()
+    sent = np.flatnonzero(act.indicators)
+    assert sent.size == 3 and H.shape == (60, 4)
+    assert np.allclose(Y, np.sqrt(7) * S[:, sent] @ H[sent])
+    assert np.allclose(Y2, np.sqrt(7) * other[:, sent] @ H[sent])
 
 
 def test_run_experiment_rows_and_determinism(tmp_path):

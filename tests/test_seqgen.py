@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfsig import analysis
 from gfsig.analysis import coherence
 from gfsig.galois import build_ext_field, primitive_polynomials
 from gfsig.seqgen import (build_signature_matrix, dft_matrix, gen_cubic_masks,
@@ -160,12 +161,13 @@ def test_small_regime_cubic_coherence_attains_value():
     assert abs(coherence(sig) - mu_direct) < 1e-12
 
 
-def test_blocked_coherence_matches_direct():
+def test_blocked_coherence_matches_direct(monkeypatch):
+    monkeypatch.setattr(analysis, "GRAM_BLOCK", 7)
     rng = np.random.default_rng(9)
     A = rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40))
     G = np.abs((A / np.linalg.norm(A, axis=0)).conj().T @ (A / np.linalg.norm(A, axis=0)))
     np.fill_diagonal(G, 0.0)
-    assert abs(coherence(A, block_size=7) - G.max()) < 1e-12
+    assert abs(coherence(A) - G.max()) < 1e-12
 
 
 def test_qpsk_entries_unimodular_before_normalization():

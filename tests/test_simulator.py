@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfsig.experiments import draw_trial
 from gfsig.seqgen import build_signature_matrix, gen_cubic_masks
 from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
                              PURPOSE_DETECTOR, PURPOSE_GEN, PURPOSE_NOISE,
@@ -30,8 +31,8 @@ def test_trial_rng_purpose_codes_prevent_aliasing():
     for keys in [(-1, PURPOSE_GEN), (1 << 32, PURPOSE_GEN), (1, 1 << 32)]:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             trial_rng(*keys)
-    # existing streams are unchanged
-    rng = trial_rng(1, 40, 192, 0, PURPOSE_DETECTOR)
+    # existing streams are unchanged: trial 0's detector stream at K=40, M=192
+    rng = draw_trial(np.zeros((1, 800)), 200, 4, 40, 192, 0.1, 1, 0)[3]
     assert rng.integers(0, 1 << 30, 4).tolist() == [474109536, 586235449,
                                                     415678114, 453165898]
     assert trial_rng(0, PURPOSE_GEN).integers(0, 1 << 30, 4).tolist() == [
@@ -65,66 +66,64 @@ def test_draw_activity_edges():
 
 
 def test_draw_channel_repeats_rows():
-    ch = draw_channel(30, 8, 4, rng=np.random.default_rng(2))
-    H = ch.H
+    H = draw_channel(30, 8, 4, rng=np.random.default_rng(2))
     assert H.shape == (120, 8)
     for n in range(30):
         block = H[4 * n : 4 * (n + 1)]
         assert np.array_equal(block, np.repeat(block[:1], 4, axis=0))
-    assert np.array_equal(ch.g, np.ones(30))
 
 
 def test_draw_channel_unit_power():
-    ch = draw_channel(2000, 50, 1, rng=np.random.default_rng(3))
-    assert abs(np.mean(np.abs(ch.H) ** 2) - 1.0) < 0.05
+    H = draw_channel(2000, 50, 1, rng=np.random.default_rng(3))
+    assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.05
 
 
 def test_synthesize_zero_cases():
     sig = build_signature_matrix(gen_cubic_masks(7), 30, 2)
     act = draw_activity(30, 0, 2, np.random.default_rng(4))
-    ch = draw_channel(30, 5, 2, rng=np.random.default_rng(5))
-    rec = synthesize(sig, act, ch, 0.0, np.random.default_rng(6))
-    assert np.all(rec.Y == 0)
-    assert rec.Y.shape == (7, 5)
+    H = draw_channel(30, 5, 2, rng=np.random.default_rng(5))
+    Y = synthesize(sig, act, H, 0.0, np.random.default_rng(6))
+    assert np.all(Y == 0)
+    assert Y.shape == (7, 5)
 
 
 def test_synthesize_single_device_rank_one():
     sig = build_signature_matrix(gen_cubic_masks(7), 30, 2)
     act = draw_activity(30, 1, 2, np.random.default_rng(7))
-    ch = draw_channel(30, 1, 2, rng=np.random.default_rng(8))
-    rec = synthesize(sig, act, ch, 0.0, np.random.default_rng(9))
+    H = draw_channel(30, 1, 2, rng=np.random.default_rng(8))
+    Y = synthesize(sig, act, H, 0.0, np.random.default_rng(9))
     n = act.active_set[0]
     q = int(np.argmax(act.indicators[n]))
     col = 2 * n + q
-    expected = np.sqrt(7) * np.outer(sig.entries[:, col], ch.H[col])
-    assert np.allclose(rec.Y, expected)
-    assert np.linalg.matrix_rank(rec.Y) == 1
+    expected = np.sqrt(7) * np.outer(sig.entries[:, col], H[col])
+    assert np.allclose(Y, expected)
+    assert np.linalg.matrix_rank(Y) == 1
 
 
 def test_noise_only_energy():
     sig = build_signature_matrix(gen_cubic_masks(7), 20, 2)
     L, M, s2 = 7, 6, 0.1
-    ch = draw_channel(20, M, 2, rng=np.random.default_rng(10))
+    H = draw_channel(20, M, 2, rng=np.random.default_rng(10))
     act = draw_activity(20, 0, 2, np.random.default_rng(11))
     total = 0.0
     trials = 1000
     for t in range(trials):
-        rec = synthesize(sig, act, ch, s2, trial_rng(5, t, PURPOSE_NOISE))
-        total += np.linalg.norm(rec.Y) ** 2
+        Y = synthesize(sig, act, H, s2, trial_rng(5, t, PURPOSE_NOISE))
+        total += np.linalg.norm(Y) ** 2
     assert abs(total / trials - s2 * L * M) / (s2 * L * M) < 0.05
 
 
 def test_signal_energy_identity():
-    # sigma = 0, g = 1: E||Y||_F^2 = K L M
+    # sigma = 0: E||Y||_F^2 = K L M
     sig = build_signature_matrix(gen_cubic_masks(7), 20, 2)
     L, M, K = 7, 4, 5
     total = 0.0
     trials = 1000
     for t in range(trials):
         act = draw_activity(20, K, 2, trial_rng(6, t, PURPOSE_ACTIVITY))
-        ch = draw_channel(20, M, 2, rng=trial_rng(6, t, PURPOSE_CHANNEL))
-        rec = synthesize(sig, act, ch, 0.0, trial_rng(6, t, PURPOSE_NOISE))
-        total += np.linalg.norm(rec.Y) ** 2
+        H = draw_channel(20, M, 2, rng=trial_rng(6, t, PURPOSE_CHANNEL))
+        Y = synthesize(sig, act, H, 0.0, trial_rng(6, t, PURPOSE_NOISE))
+        total += np.linalg.norm(Y) ** 2
     expected = K * L * M
     assert abs(total / trials - expected) / expected < 0.05
 
@@ -134,25 +133,23 @@ def test_synthesize_deterministic():
     out = []
     for _ in range(2):
         act = draw_activity(20, 5, 2, trial_rng(9, 0, PURPOSE_ACTIVITY))
-        ch = draw_channel(20, 3, 2, rng=trial_rng(9, 0, PURPOSE_CHANNEL))
-        rec = synthesize(sig, act, ch, 0.1, trial_rng(9, 0, PURPOSE_NOISE))
-        out.append(rec.Y)
+        H = draw_channel(20, 3, 2, rng=trial_rng(9, 0, PURPOSE_CHANNEL))
+        Y = synthesize(sig, act, H, 0.1, trial_rng(9, 0, PURPOSE_NOISE))
+        out.append(Y)
     assert np.array_equal(out[0], out[1])
 
 
 def test_synthesize_shape_mismatch():
     sig = build_signature_matrix(gen_cubic_masks(7), 20, 2)
     act = draw_activity(19, 5, 2, np.random.default_rng(12))
-    ch = draw_channel(19, 3, 2, rng=np.random.default_rng(13))
+    H = draw_channel(19, 3, 2, rng=np.random.default_rng(13))
     with pytest.raises(ValueError):
-        synthesize(sig, act, ch, 0.1, np.random.default_rng(14))
+        synthesize(sig, act, H, 0.1, np.random.default_rng(14))
 
 
-def test_custom_gains_enter_scaling():
+def test_synthesize_all_active_scaling():
     sig = build_signature_matrix(gen_cubic_masks(7), 4, 1)
     act = draw_activity(4, 4, 1, np.random.default_rng(15))
-    g = np.array([1.0, 2.0, 0.5, 3.0])
-    ch = draw_channel(4, 2, 1, g=g, rng=np.random.default_rng(16))
-    rec = synthesize(sig, act, ch, 0.0, np.random.default_rng(17))
-    manual = np.sqrt(7) * (sig.entries * g) @ ch.H
-    assert np.allclose(rec.Y, manual)
+    H = draw_channel(4, 2, 1, rng=np.random.default_rng(16))
+    Y = synthesize(sig, act, H, 0.0, np.random.default_rng(17))
+    assert np.allclose(Y, np.sqrt(7) * sig.entries @ H)
