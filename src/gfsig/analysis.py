@@ -182,7 +182,8 @@ def null_space_sign_ratio(
     S,
     num_samples: int = 1000,
     nonzero_tol: float = 1e-8,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     sv_rel_tol: float = 1e-10,
 ) -> SignRatioReport:
     """Average sign balance of random real null-space vectors of the lifted matrix.
@@ -192,8 +193,6 @@ def null_space_sign_ratio(
     fraction of negative entries among the nonzero ones. A ratio near 1/2
     supports the equiprobable-sign assumption behind the spark argument.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     Sh = khatri_rao_lift(S)
     R = np.vstack([Sh.real, Sh.imag])
     rows, N = R.shape

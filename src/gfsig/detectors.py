@@ -69,7 +69,7 @@ CDML_BLOCK = 16
 
 
 def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
-                  sweeps: int = SWEEPS, rng: np.random.Generator | None = None,
+                  sweeps: int = SWEEPS, *, rng: np.random.Generator,
                   refresh_every: int = 5,
                   record_update_objective: bool = False) -> MLEstimate:
     """Coordinate-descent fit of per-signature powers to the sample covariance.
@@ -110,8 +110,6 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
         raise ValueError("sweeps must be >= 1")
     if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(S_scaled))):
         raise ValueError("non-finite inputs")
-    if rng is None:
-        rng = np.random.default_rng()
     L, M = Y.shape
     N = S_scaled.shape[1]
     Sigma_hat = (Y @ Y.conj().T) / M

@@ -126,12 +126,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in known:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         fname, conv = known[key]
-        if conv == "grid":
-            kwargs[fname] = tuple(int(v) for v in value.split(","))
-        elif conv is str:
-            kwargs[fname] = value
-        else:
-            kwargs[fname] = conv(value)
+        try:
+            kwargs[fname] = tuple(int(v) for v in value.split(",")) if conv == "grid" else conv(value)
+        except ValueError:
+            what = {"grid": "a comma list of integers", int: "an integer", float: "a number"}[conv]
+            raise ValueError(f"line {lineno}: {key} = {value!r} is not {what}") from None
     missing = [k for k, f, _ in _KEYS
                if f in ("family", "n_devices", "q_per_device", "k_grid", "m_grid", "trials")
                and f not in kwargs]

@@ -26,15 +26,17 @@ from .galois import ExtField, PrimeField, build_ext_field, is_prime
 class Family:
     """Config keys a signature family reads and, if deterministic, its coherence bound.
 
-    Deterministic mask b is the mask of its base block c_b cyclically shifted by s_b,
-    v_b[k] = v_(c_b)[k + s_b], or for a chirped family v_(c_b)[k] exp(2j pi s_b k^2 / L).
+    A deterministic family's masks are built from its base masks by `shift_rule`
+    (see MaskingSet): mask b is base c_b cyclically shifted by s_b,
+    v_b[k] = u_(c_b)[k + s_b], or for a chirped family u_(c_b)[k] exp(2j pi s_b k^2 / L).
+    Base c is block number c among the blocks with s_b = 0.
     """
 
     needs: tuple[str, ...]  # config keys it cannot be built without
     takes: tuple[str, ...] = ()  # config keys it also reads
     small_columns: Callable | None = None  # (L, H) -> columns of the lambda_1 = 0 blocks
     bound: Callable | None = None  # (L, N within those columns) -> published bound
-    shift_rule: Callable | None = None  # (L, H, blocks b) -> (c_b, s_b), both arrays
+    shift_rule: Callable | None = None  # (L, H, blocks b) -> (base c_b, shift s_b), arrays
     chirp: bool = False  # s_b multiplies by the k^2 chirp instead of shifting
 
     def bases(self, L: int, H: int | None, n: int) -> list[int]:
@@ -45,7 +47,7 @@ class Family:
 FAMILIES = {
     "cubic": Family(("L",), (), lambda L, H: L * L,
                     lambda L, small: 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L),
-                    lambda L, H, b: (b - b % L, b % L), chirp=True),
+                    lambda L, H, b: np.divmod(b, L), chirp=True),
     "pr": Family(("L",), ("H",), lambda L, H: (H - 1) * L,
                  lambda L, small: (math.sqrt(L) + 1) / L if small else (2 * math.sqrt(L) + 2) / L,
                  lambda L, H, b: (b % (H - 1), b // (H - 1))),
@@ -56,7 +58,7 @@ FAMILIES = {
     "trace": Family(
         ("p", "m"), (), lambda L, H: L * L,
         lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L,
-        lambda L, H, b: (b - b % L, b % L)),
+        lambda L, H, b: np.divmod(b, L)),
     **dict.fromkeys(("gaussian", "musa", "qpsk"), Family(("L",), ("gen_trials",))),
 }
 DETERMINISTIC_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is not None)
@@ -77,24 +79,50 @@ def check_keys(kind: str, name: str, needs, reads, given: dict) -> None:
 
 @dataclass(frozen=True)
 class MaskingSet:
-    """A family of B unimodular masks of length L plus its integer seed."""
+    """B unimodular masks of length L, built from base masks, plus the family's integer seed.
+
+    Only the phase numerators of the base masks are given. The family's `shift_rule`
+    derives all B = (#bases) L masks from them: mask b is base c_b shifted by s_b,
+    or, for a chirped family (whose phase_den must be L), times the k^2 chirp.
+    """
 
     family: str
-    L: int
-    B: int
-    masks: np.ndarray  # (B, L) complex, |entry| = 1
-    phase_num: np.ndarray  # (B, L) integer phase numerators mod phase_den
+    base_num: np.ndarray  # (#bases, L) integer phase numerators mod phase_den
     phase_den: int
     seed: np.ndarray | None  # published-form integer seed, when the family has one
     params: dict = field(default_factory=dict)
+    phase_num: np.ndarray = field(init=False)  # (B, L) integer phase numerators mod phase_den
+    masks: np.ndarray = field(init=False)  # (B, L) complex, |entry| = 1
+
+    def __post_init__(self):
+        fam, L, den = FAMILIES[self.family], self.L, self.phase_den
+        c, s = fam.shift_rule(L, self.params.get("H"), np.arange(self.B))
+        k = np.arange(L)
+        if fam.chirp:
+            if den != L:
+                raise ValueError(f"a chirped family needs phase_den = L = {L}, got {den}")
+            num = (self.base_num[c] + s[:, None] * (k * k % L)) % L
+        else:
+            num = self.base_num[c[:, None], (k + s[:, None]) % L]
+        object.__setattr__(self, "phase_num", num)
+        object.__setattr__(self, "masks", np.exp(2j * np.pi * (num % den) / den))
+
+    @property
+    def L(self) -> int:
+        return self.base_num.shape[1]
+
+    @property
+    def B(self) -> int:
+        return len(self.base_num) * self.L
 
 
 @dataclass(frozen=True)
 class SignatureMatrix:
     """L x N matrix of unit-norm signature columns with contiguous device groups.
 
-    A masked-DFT matrix keeps its family's first masks in ``mask_rows``, row b
-    behind columns b L .. b L + L - 1, so coherence can be read off the masks.
+    build_signature_matrix, and nothing else, attaches the masks it built the
+    columns from as ``mask_rows``, row b behind columns b L .. b L + L - 1, so
+    coherence can be read off the masks. A matrix built any other way has none.
     """
 
     entries: np.ndarray  # (L, N) complex
@@ -103,27 +131,7 @@ class SignatureMatrix:
     family: str
     params: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    mask_rows: np.ndarray | None = None  # (ceil(N / L), L) complex, or None
-
-    def __post_init__(self):
-        V, L = self.mask_rows, self.L
-        if V is None:
-            return
-        if V.shape != (-(-self.N // L), L) or self.family not in DETERMINISTIC_FAMILIES:
-            raise ValueError(f"mask_rows of shape {V.shape} do not fit an {L} x {self.N} "
-                             f"masked-DFT matrix of family {self.family!r}")
-        fam = FAMILIES[self.family]
-        c, s = fam.shift_rule(L, self.params.get("H"), np.arange(len(V)))
-        k = np.arange(L)
-        if fam.chirp:
-            want = V[c] * np.exp(2j * np.pi * (np.outer(k, k * k) % L) / L)[s]
-        else:
-            want = V[c[:, None], (k + s[:, None]) % L]
-        bad = np.flatnonzero(np.abs(V - want).max(axis=1) > 1e-9)
-        if bad.size:
-            b = bad[0]
-            raise ValueError(f"mask row {b} is not row {c[b]} shifted by {s[b]}, "
-                             f"as block {b} of the {self.family} family is")
+    mask_rows: np.ndarray | None = field(default=None, init=False)  # (ceil(N / L), L)
 
     @property
     def L(self) -> int:
@@ -139,10 +147,6 @@ class SignatureMatrix:
         return slice(n * q, (n + 1) * q)
 
 
-def _phases_to_masks(num: np.ndarray, den: int) -> np.ndarray:
-    return np.exp(2j * np.pi * (num % den) / den)
-
-
 def dft_matrix(L: int) -> np.ndarray:
     """L-point DFT matrix F[k, l] = exp(-2j pi k l / L) / sqrt(L)."""
     kl = np.outer(np.arange(L), np.arange(L)) % L
@@ -153,28 +157,15 @@ def gen_cubic_masks(L: int) -> MaskingSet:
     """Cubic-phase masks exp(2j pi (l1 k^3 + l2 k^2) / L), B = L^2 of them."""
     if not is_prime(L) or L == 2:
         raise ValueError(f"L must be an odd prime, got {L}")
-    lam1, lam2 = np.divmod(np.arange(L * L, dtype=np.int64)[:, None], L)  # lam2 is lambda_2 - 1
+    lam1 = np.arange(L, dtype=np.int64)[:, None]
     k = np.arange(L, dtype=np.int64)
-    num = (lam1 * (k**3 % L) + (lam2 + 1) * (k**2 % L)) % L
-    return MaskingSet("cubic", L, L * L, _phases_to_masks(num, L), num, L, None, {"L": L})
+    base = (lam1 * (k**3 % L) + k**2 % L) % L  # lambda_2 = 1; the chirp adds lambda_2 - 1
+    return MaskingSet("cubic", base, L, None, {"L": L})
 
 
 def pr_seed(pf: ExtField, H: int) -> np.ndarray:
     """log_alpha(k) mod H for k = 0..L-1, with log(0) = 0."""
     return np.asarray(pf.log_table % H, dtype=np.int64)
-
-
-def _shifted_masks(family: str, seed: np.ndarray, H: int, params: dict) -> MaskingSet:
-    """Masks exp(2j pi l2 seed[(k + l1) mod L] / H), B = (H-1) L of them.
-
-    Mask b = 1..B has l1 = (b-1) // (H-1) and l2 = (b-1) % (H-1) + 1.
-    """
-    L = len(seed)
-    k = np.arange(L, dtype=np.int64)
-    shifted = seed[(k[:, None] + k[None, :]) % L]  # row l1 is seed[(k + l1) mod L]
-    lam2 = np.arange(1, H, dtype=np.int64)
-    num = (lam2[None, :, None] * shifted[:, None, :] % H).reshape((H - 1) * L, L)
-    return MaskingSet(family, L, len(num), _phases_to_masks(num, H), num, H, seed, params)
 
 
 def gen_pr_masks(L: int, H: int | None = None, alpha: int | None = None) -> MaskingSet:
@@ -186,7 +177,9 @@ def gen_pr_masks(L: int, H: int | None = None, alpha: int | None = None) -> Mask
     if H <= 2 or (L - 1) % H != 0:
         raise ValueError(f"H must exceed 2 and divide L - 1 = {L - 1}, got {H}")
     pf = PrimeField(L, alpha=alpha)  # log(0) = 0 convention
-    return _shifted_masks("pr", pr_seed(pf, H), H, {"L": L, "H": H, "alpha": pf.alpha})
+    seed = pr_seed(pf, H)
+    base = np.arange(1, H, dtype=np.int64)[:, None] * seed % H  # lambda_2 = 1 .. H-1
+    return MaskingSet("pr", base, H, seed, {"L": L, "H": H, "alpha": pf.alpha})
 
 
 def sidelnikov_seed(fld: ExtField, H: int) -> np.ndarray:
@@ -206,8 +199,10 @@ def gen_sidelnikov_masks(p: int, m: int, H: int | None = None, poly=None) -> Mas
         H = L
     if H < 2 or L % H != 0:
         raise ValueError(f"H must be >= 2 and divide L = {L}, got {H}")
+    seed = sidelnikov_seed(fld, H)
+    base = np.arange(1, H, dtype=np.int64)[:, None] * seed % H  # lambda_2 = 1 .. H-1
     params = {"p": p, "m": m, "L": L, "H": H, "poly": fld.poly}
-    return _shifted_masks("sidelnikov", sidelnikov_seed(fld, H), H, params)
+    return MaskingSet("sidelnikov", base, H, seed, params)
 
 
 def trace_seed(fld: ExtField) -> np.ndarray:
@@ -229,9 +224,8 @@ def gen_trace_masks(p: int, m: int, poly=None) -> MaskingSet:
     k = np.arange(L, dtype=np.int64)
     # base l1 at k is Tr(a^k + theta a^(2k)); mask l1 L + l2 is that base at k + l2
     base = np.vstack([t1, (t1 + t1[(k[:, None] + 2 * k[None, :]) % L]) % p])
-    num = base[:, (k[:, None] + k[None, :]) % L].reshape(L * (L + 1), L)
     params = {"p": p, "m": m, "L": L, "poly": fld.poly}
-    return MaskingSet("trace", L, len(num), _phases_to_masks(num, p), num, p, t1, params)
+    return MaskingSet("trace", base, p, t1, params)
 
 
 def mask_block(masks: MaskingSet, b: int) -> np.ndarray:
@@ -255,8 +249,9 @@ def build_signature_matrix(masks: MaskingSet, n_devices: int, q_per_device: int)
     F = dft_matrix(L)
     blocks = masks.masks[:n_blocks]  # (nb, L)
     S = (blocks.T[:, :, None] * F[:, None, :]).reshape(L, n_blocks * L)[:, :N]
-    return SignatureMatrix(S, n_devices, q_per_device, masks.family, dict(masks.params),
-                           mask_rows=blocks)
+    sig = SignatureMatrix(S, n_devices, q_per_device, masks.family, dict(masks.params))
+    object.__setattr__(sig, "mask_rows", blocks)  # the rows S was built from
+    return sig
 
 
 def _draw_candidate(kind: str, L: int, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -284,7 +279,8 @@ def gen_random_family(
     L: int,
     N: int,
     trials: int = 10,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     q_per_device: int = 1,
 ) -> SignatureMatrix:
     """Best-of-`trials` random L x N signature matrix with unit-norm columns.
@@ -297,8 +293,6 @@ def gen_random_family(
         raise ValueError("trials must be >= 1")
     if N % q_per_device != 0:
         raise ValueError("q_per_device must divide N")
-    if rng is None:
-        rng = np.random.default_rng()
     best = None
     best_mu = np.inf
     for _ in range(trials):

@@ -71,12 +71,10 @@ def draw_activity(n_devices: int, k_active: int, q_per_device: int,
 
 
 def draw_channel(n_devices: int, n_antennas: int, q_per_device: int,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """(N_d Q, M) channel rows: one CN(0, I_M) vector per device, repeated over its Q rows."""
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
-    if rng is None:
-        rng = np.random.default_rng()
     return np.repeat(complex_normal(rng, (n_devices, n_antennas)), q_per_device, axis=0)
 
 

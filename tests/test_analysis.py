@@ -13,9 +13,9 @@ from gfsig.analysis import (bound_failures, coherence, coherence_report,
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
 from gfsig.experiments import build_masks
 from gfsig.galois import is_prime
-from gfsig.seqgen import (SignatureMatrix, build_signature_matrix, dft_matrix,
-                          gen_cubic_masks, gen_pr_masks, gen_sidelnikov_masks,
-                          gen_trace_masks)
+from gfsig.seqgen import (FAMILIES, MaskingSet, SignatureMatrix,
+                          build_signature_matrix, dft_matrix, gen_cubic_masks,
+                          gen_pr_masks, gen_sidelnikov_masks, gen_trace_masks)
 
 
 def rand_complex(rng, shape):
@@ -194,38 +194,64 @@ def test_coherence_report_reads_the_masks(monkeypatch):
 def test_mask_rows_must_fit_the_matrix():
     sig = build_signature_matrix(gen_cubic_masks(7), 20, 1)
     assert sig.mask_rows.shape == (3, 7)
-    with pytest.raises(ValueError, match="mask_rows"):
+    # only build_signature_matrix attaches mask rows, so none can be attached that misfit
+    with pytest.raises(TypeError, match="mask_rows"):
         SignatureMatrix(sig.entries, 20, 1, "cubic", mask_rows=sig.mask_rows[:2])
-    with pytest.raises(ValueError, match="mask_rows"):
-        SignatureMatrix(sig.entries, 20, 1, "qpsk", mask_rows=sig.mask_rows)
 
 
 def test_mask_rows_must_be_shifted_bases():
     # random unimodular rows: the base-block path reads row 0 only and would
-    # understate mu against the Gram scan (in 21 of these 50 seeds), so the
-    # rows are refused
+    # understate mu against the Gram scan (in 21 of these 50 seeds), so such rows
+    # cannot be attached and the hand-built matrix takes the Gram scan
     F = dft_matrix(7)
     understated = 0
     for seed in range(50):
         V = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=(3, 7)))
         A = (V.T[:, :, None] * F[:, None, :]).reshape(7, 21)
         understated += analysis._masked_dft_coherence(V, [0])[0] < coherence(A) - 1e-12
-        with pytest.raises(ValueError, match="mask row 1 is not row 0 shifted by 1, "
-                                             "as block 1 of the cubic family is"):
+        with pytest.raises(TypeError, match="mask_rows"):
             SignatureMatrix(A, 21, 1, "cubic", {"L": 7}, mask_rows=V)
+        assert coherence(SignatureMatrix(A, 21, 1, "cubic", {"L": 7})) == coherence(A)
     assert understated == 21
-    # one bad row among good ones is named, under the family's own rule
-    for masks, n, b, msg in [(gen_cubic_masks(7), 20, 2, "row 2 is not row 0 shifted by 2"),
-                             (gen_pr_masks(11, 10), 121, 10, "row 10 is not row 1 shifted by 1"),
-                             (gen_trace_masks(3, 2), 40, 4, "row 4 is not row 0 shifted by 4")]:
-        sig = build_signature_matrix(masks, n, 1)
-        V = sig.mask_rows.copy()
-        V[b] = V[b][::-1]
-        with pytest.raises(ValueError, match=msg):
-            SignatureMatrix(sig.entries, n, 1, sig.family, sig.params, mask_rows=V)
-    pr = build_signature_matrix(gen_pr_masks(11, 10), 121, 1)
-    with pytest.raises(ValueError, match="row 1 is not row 0 shifted by 1"):
-        SignatureMatrix(pr.entries, 121, 1, "trace", mask_rows=pr.mask_rows)
+
+
+@pytest.mark.parametrize("family,L,den,params", [
+    ("cubic", 7, 7, {"L": 7}), ("pr", 11, 5, {"L": 11, "H": 5}),
+    ("sidelnikov", 8, 4, {"L": 8, "H": 4}), ("trace", 8, 3, {"L": 8})])
+def test_masks_from_random_bases_follow_the_shift_rule(family, L, den, params):
+    fam = FAMILIES[family]
+    n_bases = params["H"] - 1 if "H" in params else L if fam.chirp else L + 1
+    k = np.arange(L)
+    for seed in range(3):
+        base = np.random.default_rng(seed).integers(0, den, size=(n_bases, L))
+        masks = MaskingSet(family, base, den, None, params)
+        assert masks.B == n_bases * L and masks.masks.shape == (masks.B, L)
+        u = np.exp(2j * np.pi * base / den)
+        assert np.array_equal(masks.masks[fam.bases(L, params.get("H"), masks.B)], u)
+        for b in range(masks.B):
+            (c,), (s,) = fam.shift_rule(L, params.get("H"), np.array([b]))
+            want = u[c] * np.exp(2j * np.pi * s * k * k / L) if fam.chirp else np.roll(u[c], -s)
+            assert np.abs(masks.masks[b] - want).max() < 1e-12, (seed, b)
+        for n in (L + 1, 2 * L, 3 * L - 2, masks.B * L // 2 + 1, masks.B * L - 1, masks.B * L):
+            sig = build_signature_matrix(masks, n, 1)
+            assert abs(coherence(sig) - analysis._gram_coherence(sig.entries)[0]) < 1e-12, n
+    if fam.chirp:
+        with pytest.raises(ValueError, match="phase_den = L = 7"):
+            MaskingSet(family, base, 5, None, params)
+
+
+def test_hand_built_matrix_takes_the_gram_scan():
+    # a cubic-labelled random matrix: the mask rows of a real cubic matrix of that
+    # size understate its coherence, and they cannot be attached
+    rows = build_signature_matrix(gen_cubic_masks(7), 20, 1).mask_rows
+    A = rand_complex(np.random.default_rng(2), (7, 20))
+    A /= np.linalg.norm(A, axis=0)
+    sig = SignatureMatrix(A, 20, 1, "cubic", {"L": 7})
+    assert sig.mask_rows is None
+    assert coherence(sig) == analysis._gram_coherence(A)[0]
+    assert coherence(sig) > analysis._masked_dft_coherence(rows, [0])[0] + 0.1
+    with pytest.raises(TypeError, match="mask_rows"):
+        SignatureMatrix(A, 20, 1, "cubic", {"L": 7}, mask_rows=rows)
 
 
 def test_cubic_L47_all_columns_within_bounds():

@@ -39,13 +39,13 @@ def test_cdml_input_validation():
     rng = np.random.default_rng(1)
     Y, S_scaled, _ = random_instance(rng)
     with pytest.raises(ValueError):
-        cdml_estimate(Y, S_scaled, 0.0)
+        cdml_estimate(Y, S_scaled, 0.0, rng=rng)
     with pytest.raises(ValueError):
-        cdml_estimate(Y, S_scaled, 0.1, sweeps=0)
+        cdml_estimate(Y, S_scaled, 0.1, sweeps=0, rng=rng)
     bad = Y.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        cdml_estimate(bad, S_scaled, 0.1)
+        cdml_estimate(bad, S_scaled, 0.1, rng=rng)
 
 
 def test_cdml_gamma_nonnegative_and_objective_monotone():

@@ -99,13 +99,21 @@ def test_config_parsing_features():
      "trials = 2", r"line 8: xi_th = -1.0 must lie in \(0, inf\)"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ndetector = mmvamp\nsigma_w2 = -1\n"
      "trials = 2", r"line 8: sigma_w2 = -1.0 must lie in \[0, inf\)"),
+    ("family = cubic\nL = 7\nN_d = 1.5\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "^line 3: N_d = '1.5' is not an integer$"),
+    ("family = cubic\nL = 7\nN_d = ten\nQ = 2\nK = 2\nM = 4\ntrials = 2",
+     "^line 3: N_d = 'ten' is not an integer$"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\nsigma_w2 = abc\ntrials = 2",
+     "^line 7: sigma_w2 = 'abc' is not a number$"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2,,3\nM = 4\ntrials = 2",
+     "^line 5: K = '2,,3' is not a comma list of integers$"),
 ], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet", "dupkey",
         "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L", "cubic-p",
         "pr-m", "random-p", "seed-2**32", "cdml-damping", "cdml-max_iters",
         "mmvamp-sweeps", "cubic-gen_trials", "trace-gen_trials-default",
         "cdml-sweeps0", "cdml-sigma_w2-0", "mmvamp-max_iters0", "mmvamp-damping1.5",
         "mmvamp-damping-negative", "random-gen_trials0", "cdml-xi_th0", "mmvamp-xi_th-1",
-        "mmvamp-sigma_w2-negative"])
+        "mmvamp-sigma_w2-negative", "N_d-float", "N_d-word", "sigma_w2-word", "K-empty-item"])
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
@@ -189,14 +197,8 @@ def test_build_signatures_random_is_seeded():
     assert np.array_equal(a, b)
 
 
-def test_run_trial_paired_across_families():
-    # the same (base_seed, K, M, trial) keys drive activity/channel/noise,
-    # whatever signature matrix is in use
-    cfg = TINY
-    S = build_signatures(cfg).entries
-    rng = np.random.default_rng(0)
-    other = rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape)
-    other /= np.linalg.norm(other, axis=0)
+def test_run_trial_is_repeatable():
+    S = build_signatures(TINY).entries
     p1, _ = run_trial(S, 30, 2, 3, 4, 0.1, "cdml", {"sweeps": 4}, 5, 0)
     p2, _ = run_trial(S, 30, 2, 3, 4, 0.1, "cdml", {"sweeps": 4}, 5, 0)
     assert p1 == p2  # bit-for-bit repeatable

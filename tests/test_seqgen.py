@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from gfsig import analysis
 from gfsig.analysis import coherence
+from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
+from gfsig.experiments import build_masks
 from gfsig.galois import build_ext_field, primitive_polynomials
 from gfsig.seqgen import (build_signature_matrix, dft_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_random_family,
@@ -27,6 +31,36 @@ def test_family_set_sizes():
     assert gen_pr_masks(23, 22).B == 483  # N_s = (H-1) L^2 = 11109
     assert gen_sidelnikov_masks(5, 2, 24).B == 552  # N_s = 13248
     assert gen_trace_masks(5, 2).B == 600  # N_s = L^2 (L+1) = 14400
+
+
+# (shape, sha256 of phase_num.tobytes()) of each verify instance: the masks are the
+# published ones, so however they are built they must stay bit-identical
+PHASE_DIGESTS = {
+    ("cubic", 7): ((49, 7), "5b136561bd4f4e9a36473d5c1d591b2980d4c94d13ab5ce9556a8bb0084ed82e"),
+    ("cubic", 11): ((121, 11), "5ebef7645f38767510a2b8bf0f320e5eecb9960b8c12673f61fba0a906f01e20"),
+    ("cubic", 23): ((529, 23), "2fcd52d2984aa93f422665b984cf2d50a7ac76e452b5c0032c6e03e033a64dbd"),
+    ("pr", 11, 10): ((99, 11), "83904701c52cba2693571bf0b2fc19d79183d0b9e87e765e52adeac2fc3fa295"),
+    ("pr", 23, 22): ((483, 23), "7001e6ebb7488b8acfe75f94ddbdaba77392ef711eb5912203a6aa7d68db12e8"),
+    ("sidelnikov", 5, 2): ((552, 24),
+                           "bc73bb6b4dad5846dcf2f0dc2f67340f4a2902ac7eabf643345a0986ce991d83"),
+    ("sidelnikov", 3, 3): ((650, 26),
+                           "cd76eadb8a72ed7a13d296546ce07594053c2537a892f35ad66ad9a8a4897a8a"),
+    ("sidelnikov", 3, 2): ((56, 8),
+                           "8324e99a4101fe88c7f059ffd7acca3f7d008f1dc80f3fcc8d2eae782c2760f1"),
+    ("trace", 5, 2): ((600, 24), "ee0087018a40b77721de3cef1e58b9bd5900b3c06bd21460a08786caeb38c2e3"),
+    ("trace", 3, 3): ((702, 26), "6ec42c4c37584d436460fe6cace63fefbe4d7b1524a32c2f3209d6c72fc1ede0"),
+    ("trace", 3, 2): ((72, 8), "7a5298c9faa9a16466b2bf0eb39cf58afc61c2fc321ece5eadf1d40b01ddb3b6"),
+}
+
+
+def test_verify_grid_phase_digests():
+    grid = {(family, *kwargs.values()): kwargs for family, kwargs in VERIFY_GRID + VERIFY_GRID_QUICK}
+    assert grid.keys() == PHASE_DIGESTS.keys()
+    for key, kwargs in grid.items():
+        num = build_masks(key[0], **kwargs).phase_num
+        shape, digest = PHASE_DIGESTS[key]
+        assert (num.shape, num.dtype) == (shape, np.int64), key
+        assert hashlib.sha256(num.tobytes()).hexdigest() == digest, key
 
 
 @pytest.mark.parametrize("masks_fn", [
@@ -209,10 +243,11 @@ def test_musa_coherence_above_cubic_bound():
 
 
 def test_random_family_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        gen_random_family("gaussian", 8, 16, trials=0)
+        gen_random_family("gaussian", 8, 16, trials=0, rng=rng)
     with pytest.raises(ValueError):
-        gen_random_family("pn", 8, 16)
+        gen_random_family("pn", 8, 16, rng=rng)
 
 
 def test_signature_csv_round_trip(tmp_path):
