@@ -3,7 +3,7 @@
 Everything here operates on plain complex arrays; objects carrying their
 matrix in an ``entries`` attribute (e.g. SignatureMatrix) are accepted too.
 A masked-DFT matrix that also carries its ``mask_rows`` gets its coherence
-from the masks of its family's unshifted blocks instead of a Gram scan.
+from a few of its masks (MaskingSet.bases) instead of a Gram scan.
 """
 
 from __future__ import annotations
@@ -28,15 +28,14 @@ def coherence(S, with_pair: bool = False):
     """Maximum normalized inner product over distinct column pairs.
 
     A masked-DFT signature matrix with two or more blocks of ``mask_rows`` pairs
-    its family's unshifted blocks with every block (see _masked_dft_coherence).
+    the blocks MaskingSet.bases names with every block (see _masked_dft_coherence).
     Anything else goes through the normalized Gram matrix, GRAM_BLOCK columns at
     a time. Raises on zero columns. with_pair=True also returns the column pair
     (i, j), i < j, that attains the maximum.
     """
     V = getattr(S, "mask_rows", None)
     if V is not None and len(V) > 1:
-        bases = FAMILIES[S.family].bases(S.L, S.params.get("H"), len(V))
-        best, pair = _masked_dft_coherence(V, bases)
+        best, pair = _masked_dft_coherence(V, S.masks.bases(len(V)))
     else:
         best, pair = _gram_coherence(as_matrix(S))
     best = min(best, 1.0)
@@ -61,7 +60,7 @@ def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
             Bj = An[:, j0 : j0 + GRAM_BLOCK]
             G = np.abs(Bi.conj().T @ Bj)
             if i0 == j0:  # each pair once, as (i, j) with i < j
-                G[np.tril_indices(G.shape[0])] = -1.0
+                G[np.tri(len(G), dtype=bool)] = -1.0
             k = int(np.argmax(G))
             r, c = divmod(k, G.shape[1])
             if G[r, c] > best:
@@ -78,7 +77,8 @@ def _masked_dft_coherence(V: np.ndarray, bases) -> tuple[float, tuple[int, int]]
     With v_b base c_b shifted by s_b, blocks b, b' with s_b <= s_b' have the |DFT|s
     of base c_b and base c_b' shifted by s_b' - s_b, a block of any prefix that
     holds b'. So each unshifted block in `bases` needs one row of |DFT|s against
-    every block; a row times F_L beats np.fft.fft at prime L <= 47.
+    every block (MaskingSet.bases may need fewer); a row times F_L beats
+    np.fft.fft at prime L <= 47.
     """
     L = V.shape[1]
     F = dft_matrix(L)
@@ -269,8 +269,7 @@ class CoherenceReport:
 
 def coherence_report(S, family: str, H: int | None, n_devices: int,
                      q_per_device: int) -> CoherenceReport:
-    A = as_matrix(S)
-    L, N = A.shape
+    L, N = np.shape(S)  # a mask-built SignatureMatrix's entries stay unbuilt
     if N != n_devices * q_per_device:
         raise ValueError("matrix width disagrees with n_devices * q_per_device")
     mu, pair = coherence(S, with_pair=True)

@@ -18,7 +18,7 @@ from .analysis import (DETERMINISTIC_FAMILIES, CoherenceReport,
 from .experiments import (build_masks, load_config, run_experiment,
                           workers_from_env, write_results)
 from .seqgen import (FAMILIES, RANDOM_FAMILIES, build_signature_matrix, check_keys,
-                     gen_random_family, mask_block, signature_to_csv)
+                     gen_random_family, mask_block, masked_dft_columns, signature_to_csv)
 from .simulator import PURPOSE_GEN, trial_rng
 
 # (family, kwargs) instances used by `verify`; the quick grid trades size
@@ -82,13 +82,13 @@ def cmd_gen(args) -> int:
 
 def verify_masks(masks, n_devices: int, q_per_device: int, rng, lift_cols: int = 48,
                  ortho_blocks: int = 10) -> tuple[CoherenceReport, list[str]]:
-    """Bound, Welch, lifted-coherence, and block-orthonormality checks for one S."""
+    """Bound, Welch, lifted-coherence, and block-orthonormality checks for one S, from its masks."""
     sig = build_signature_matrix(masks, n_devices, q_per_device)
     report = coherence_report(sig, masks.family, masks.params.get("H"), n_devices, q_per_device)
     failures = bound_failures(report)
 
     cols = rng.choice(sig.N, size=min(lift_cols, sig.N), replace=False)
-    sub = sig.entries[:, np.sort(cols)]
+    sub = masked_dft_columns(sig.mask_rows, np.sort(cols))
     mu_sub = coherence(sub)
     mu_lift = coherence(khatri_rao_lift(sub))
     if abs(mu_lift - mu_sub**2) > 1e-12:

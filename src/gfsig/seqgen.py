@@ -12,6 +12,7 @@ with a best-of-trials coherence selection.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -105,7 +106,8 @@ class MaskingSet:
         else:
             num = self.base_num[c[:, None], (k + s[:, None]) % L]
         object.__setattr__(self, "phase_num", num)
-        object.__setattr__(self, "masks", np.exp(2j * np.pi * (num % den) / den))
+        roots = np.exp(2j * np.pi * np.arange(den) / den)  # the den-th roots of unity
+        object.__setattr__(self, "masks", roots[num % den])
 
     @property
     def L(self) -> int:
@@ -115,31 +117,62 @@ class MaskingSet:
     def B(self) -> int:
         return len(self.base_num) * self.L
 
+    def bases(self, n: int) -> list[int]:
+        """Blocks c < n whose |DFT(conj(v_c) v_b)| rows, b < n, hold every block pair's maximum.
+
+        The unshifted blocks (Family.bases), unless a chirped family's bases step by a
+        fixed row, u_c = u_0 w^c, as cubic's do: then conj(v_b) v_b' depends only on the
+        class (c_b' - c_b, s_b' - s_b) mod L. Block 0 meets each class (or its conjugate
+        mirror) but those a partial last row of L blocks lacks, which that row's first
+        block meets: L^2 - 1 rows at full capacity, not L^3.
+        """
+        fam = FAMILIES[self.family]
+        bases = fam.bases(self.L, self.params.get("H"), n)
+        step = np.diff(self.base_num, axis=0) % self.phase_den
+        if fam.chirp and (step == step[:1]).all():
+            return [0] if n % self.L == 0 else sorted({0, bases[-1]})
+        return bases
+
 
 @dataclass(frozen=True)
 class SignatureMatrix:
     """L x N matrix of unit-norm signature columns with contiguous device groups.
 
-    build_signature_matrix, and nothing else, attaches the masks it built the
-    columns from as ``mask_rows``, row b behind columns b L .. b L + L - 1, so
-    coherence can be read off the masks. A matrix built any other way has none.
+    build_signature_matrix, and nothing else, attaches the MaskingSet the columns come
+    from as ``masks``; its first ceil(N / L) rows are ``mask_rows``. Such a matrix builds
+    ``entries`` on first read, and coherence reads the mask rows instead.
     """
 
-    entries: np.ndarray  # (L, N) complex
+    _entries: np.ndarray | None  # (L, N) complex; None until a mask-built matrix is read
     n_devices: int
     q_per_device: int
     family: str
     params: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    mask_rows: np.ndarray | None = field(default=None, init=False)  # (ceil(N / L), L)
+    masks: MaskingSet | None = field(default=None, init=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            object.__setattr__(self, "_entries",
+                               masked_dft_columns(self.mask_rows, np.arange(self.N)))
+        return self._entries
+
+    @property
+    def mask_rows(self) -> np.ndarray | None:  # (ceil(N / L), L)
+        return None if self.masks is None else self.masks.masks[:-(-self.N // self.L)]
 
     @property
     def L(self) -> int:
-        return self.entries.shape[0]
+        return self._entries.shape[0] if self.masks is None else self.masks.L
 
     @property
     def N(self) -> int:
-        return self.entries.shape[1]
+        return self.n_devices * self.q_per_device
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.L, self.N
 
     def device_columns(self, n: int) -> slice:
         """Column slice of device n (0-based)."""
@@ -147,10 +180,20 @@ class SignatureMatrix:
         return slice(n * q, (n + 1) * q)
 
 
+@functools.cache
 def dft_matrix(L: int) -> np.ndarray:
-    """L-point DFT matrix F[k, l] = exp(-2j pi k l / L) / sqrt(L)."""
+    """L-point DFT matrix F[k, l] = exp(-2j pi k l / L) / sqrt(L), one read-only array per L."""
     kl = np.outer(np.arange(L), np.arange(L)) % L
-    return np.exp(-2j * np.pi * kl / L) / np.sqrt(L)
+    F = np.exp(-2j * np.pi * kl / L) / np.sqrt(L)
+    F.flags.writeable = False
+    return F
+
+
+def masked_dft_columns(V: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns `cols` of the blocks diag(v_b) F_L side by side: v_(i div L) * F_L[:, i mod L]."""
+    b, l = np.divmod(cols, V.shape[1])
+    out = np.take(dft_matrix(V.shape[1]), l, axis=1)  # C order, as the detectors' BLAS calls get it
+    return np.multiply(V[b].T, out, out=out)
 
 
 def gen_cubic_masks(L: int) -> MaskingSet:
@@ -230,27 +273,22 @@ def gen_trace_masks(p: int, m: int, poly=None) -> MaskingSet:
 
 def mask_block(masks: MaskingSet, b: int) -> np.ndarray:
     """The L x L signature block diag(v_b) F_L for mask index b (0-based)."""
-    return masks.masks[b][:, None] * dft_matrix(masks.L)
+    return masked_dft_columns(masks.masks, b * masks.L + np.arange(masks.L))
 
 
 def build_signature_matrix(masks: MaskingSet, n_devices: int, q_per_device: int) -> SignatureMatrix:
     """First N_d Q columns of the concatenated masked-DFT blocks, in block order."""
     if n_devices < 1 or q_per_device < 1:
         raise ValueError("need n_devices >= 1 and q_per_device >= 1")
-    L, B = masks.L, masks.B
     N = n_devices * q_per_device
-    capacity = B * L
+    capacity = masks.B * masks.L
     if N > capacity:
         raise ValueError(
             f"capacity exceeded: N_d * Q = {N} > N_s = {capacity} "
             f"(at most {capacity // q_per_device} devices)"
         )
-    n_blocks = -(-N // L)
-    F = dft_matrix(L)
-    blocks = masks.masks[:n_blocks]  # (nb, L)
-    S = (blocks.T[:, :, None] * F[:, None, :]).reshape(L, n_blocks * L)[:, :N]
-    sig = SignatureMatrix(S, n_devices, q_per_device, masks.family, dict(masks.params))
-    object.__setattr__(sig, "mask_rows", blocks)  # the rows S was built from
+    sig = SignatureMatrix(None, n_devices, q_per_device, masks.family, dict(masks.params))
+    object.__setattr__(sig, "masks", masks)
     return sig
 
 
@@ -313,17 +351,10 @@ def gen_random_family(
 
 def signature_to_csv(sig: SignatureMatrix, path) -> None:
     """Write interleaved re/im values, row-major, with a metadata header line."""
-    A = sig.entries
-    L, N = A.shape
     with open(path, "w") as fh:
-        fh.write(
-            f"# family={sig.family} L={L} N={N} N_d={sig.n_devices} "
-            f"Q={sig.q_per_device} params={sig.params!r}\n"
-        )
-        for k in range(L):
-            row = np.empty(2 * N)
-            row[0::2] = A[k].real
-            row[1::2] = A[k].imag
+        fh.write(f"# family={sig.family} L={sig.L} N={sig.N} N_d={sig.n_devices} "
+                 f"Q={sig.q_per_device} params={sig.params!r}\n")
+        for row in np.ascontiguousarray(sig.entries).view(np.float64):  # re, im, re, im, ...
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -334,6 +365,5 @@ def signature_from_csv(path) -> np.ndarray:
         for line in fh:
             if line.startswith("#"):
                 continue
-            vals = np.array([float(v) for v in line.split(",")])
-            rows.append(vals[0::2] + 1j * vals[1::2])
+            rows.append(np.array([float(v) for v in line.split(",")]).view(complex))
     return np.asarray(rows)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gfsig import analysis
+from gfsig import analysis, cli, seqgen
 from gfsig.analysis import (bound_failures, coherence, coherence_report,
                             family_coherence_bound, khatri_rao_lift,
                             ml_coherence_condition, negative_fraction,
@@ -15,7 +16,8 @@ from gfsig.experiments import build_masks
 from gfsig.galois import is_prime
 from gfsig.seqgen import (FAMILIES, MaskingSet, SignatureMatrix,
                           build_signature_matrix, dft_matrix, gen_cubic_masks,
-                          gen_pr_masks, gen_sidelnikov_masks, gen_trace_masks)
+                          gen_pr_masks, gen_sidelnikov_masks, gen_trace_masks,
+                          masked_dft_columns)
 
 
 def rand_complex(rng, shape):
@@ -261,6 +263,147 @@ def test_cubic_L47_all_columns_within_bounds():
     mu, (i, j) = coherence(sig, with_pair=True)
     assert welch_bound(47, sig.N) <= mu <= 2 / math.sqrt(47)
     assert abs(abs(np.vdot(sig.entries[:, i], sig.entries[:, j])) - mu) < 1e-12
+
+
+# --- cubic difference classes -------------------------------------------------
+
+def base_block_coherence(V: np.ndarray, bases) -> tuple[float, tuple[int, int]]:
+    """Each block in `bases` against every block: the mask path before difference classes."""
+    L = V.shape[1]
+    F = dft_matrix(L)
+    best = -1.0
+    pair = (0, L)
+    for c in bases:
+        G = np.abs((V * V[c].conj()) @ F)
+        G[c] = -1.0
+        k = int(np.argmax(G))
+        if G.flat[k] > best:
+            best = float(G.flat[k])
+            b, shift = divmod(k, L)
+            pair = (c * L + (-shift) % L, b * L) if c < b else (b * L + shift, c * L)
+    return best / math.sqrt(L), pair
+
+
+def _check_pair_from_masks(masks, n, mu, pair):
+    i, j = pair
+    assert 0 <= i < j < n, (n, pair)
+    a = masked_dft_columns(masks.masks, np.array(pair))
+    assert abs(abs(np.vdot(a[:, 0], a[:, 1])) - mu) < 1e-12, (n, pair)
+
+
+@pytest.mark.parametrize("L", [7, 11, 23, 29, 31, 47])
+def test_cubic_difference_classes_match_the_base_block_loop(L):
+    masks = gen_cubic_masks(L)
+    B = masks.B
+    cubic = FAMILIES["cubic"]
+    if L <= 11:
+        counts = range(L + 1, B * L + 1)  # every N past one block
+    else:  # small regime, a partial last row of blocks, and full capacity
+        counts = (L * L, B * L // 2 + 1, B * L)
+    reference = {}  # blocks -> base-block mu, which the columns of the last block do not change
+    for n in counts:
+        sig = build_signature_matrix(masks, n, 1)
+        blocks = len(sig.mask_rows)
+        assert len(masks.bases(blocks)) <= 2  # the class path, not one base per row of blocks
+        mu, pair = coherence(sig, with_pair=True)
+        if blocks not in reference:
+            reference[blocks] = base_block_coherence(sig.mask_rows, cubic.bases(L, None, blocks))[0]
+        assert abs(mu - reference[blocks]) < 1e-12, n
+        _check_pair_from_masks(masks, n, mu, pair)
+
+
+def test_difference_classes_of_random_stepped_bases():
+    # random u_0 and step w, u_c = u_0 + c w: the classes hold as for cubic, but their
+    # maxima differ, so a class left out (say, below a partial last row) shows in mu
+    L = 7
+    k = np.arange(L)
+    for seed in range(3):
+        u0, w = np.random.default_rng(seed).integers(0, L, size=(2, L))
+        masks = MaskingSet("cubic", (u0 + k[:, None] * w) % L, L, None, {"L": L})
+        bases = FAMILIES["cubic"].bases(L, None, masks.B)
+        reference = {}
+        for n in range(L + 1, masks.B * L + 1):
+            sig = build_signature_matrix(masks, n, 1)
+            blocks = len(sig.mask_rows)
+            mu, pair = coherence(sig, with_pair=True)
+            if blocks not in reference:
+                reference[blocks] = base_block_coherence(
+                    sig.mask_rows, [c for c in bases if c < blocks])[0]
+            assert abs(mu - reference[blocks]) < 1e-12, (seed, n)
+            _check_pair_from_masks(masks, n, mu, pair)
+
+
+def test_cubic_classes_need_stepped_bases():
+    # random base rows do not step by a fixed row: every base block is paired
+    L = 7
+    base = np.random.default_rng(0).integers(0, L, size=(L, L))
+    assert MaskingSet("cubic", base, L, None, {"L": L}).bases(20) == [0, 7, 14]
+    masks = gen_cubic_masks(L)
+    assert masks.bases(L * L) == [0]  # full capacity: L^2 - 1 rows
+    assert masks.bases(20) == [0, 14]  # the last row of blocks is partial
+    assert masks.bases(14) == [0]
+
+
+# --- verify from the masks alone ---------------------------------------------
+
+VERIFY_CASES = VERIFY_GRID + [case for case in VERIFY_GRID_QUICK if case not in VERIFY_GRID]
+
+
+@pytest.mark.parametrize("family,kwargs", VERIFY_CASES,
+                         ids=[f"{f}-{'-'.join(map(str, kw.values()))}" for f, kw in VERIFY_CASES])
+def test_verify_masks_matches_the_full_matrix(family, kwargs, monkeypatch):
+    masks = build_masks(family, **kwargs)
+    L, B, H = masks.L, masks.B, masks.params.get("H")
+    for n in sorted({min(small_regime_columns(family, L, H), B * L), B * L}):
+        widths, lifted = [], []  # columns of every masked_dft_columns call; lifted samples
+
+        def columns(V, cols):
+            widths.append(len(cols))
+            return masked_dft_columns(V, cols)
+
+        def lift(sub):
+            lifted.append(sub)
+            return khatri_rao_lift(sub)
+
+        for module in (seqgen, cli):
+            monkeypatch.setattr(module, "masked_dft_columns", columns)
+        monkeypatch.setattr(cli, "khatri_rao_lift", lift)
+        report, failures = cli.verify_masks(masks, n, 1, np.random.default_rng(n))
+        monkeypatch.undo()
+        assert failures == [], (n, failures)
+        assert max(widths) <= max(48, L), n  # never the L x N matrix
+
+        S = build_signature_matrix(masks, n, 1).entries
+        cols = np.sort(np.random.default_rng(n).choice(n, size=min(48, n), replace=False))
+        assert lifted[0].tobytes() == S[:, cols].tobytes(), n
+        mu = (coherence(S) if n <= 2048
+              else reference_masked_dft_coherence(masks.masks[:-(-n // L)])[0])
+        assert abs(report.mu - mu) < 1e-12, n
+        small = small_regime(family, L, H, n, 1)
+        assert (report.family, report.L, report.H, report.n_devices, report.q_per_device,
+                report.welch, report.bound, report.regime) == (
+            family, S.shape[0], H, S.shape[1], 1, welch_bound(*S.shape),
+            family_coherence_bound(family, L, H, n, 1), "small" if small else "general"), n
+        i, j = report.argmax_pair
+        assert 0 <= i < j < S.shape[1], n
+        assert abs(abs(np.vdot(S[:, i], S[:, j])) - report.mu) < 1e-12, n
+
+
+@pytest.mark.parametrize("family,kwargs", [("cubic", {"L": 101}), ("pr", {"L": 101, "H": 100})])
+def test_verify_masks_far_past_desk_scale(family, kwargs):
+    # N ~ 1.0e6 columns: S alone would take 1.56 GB; the masks and one block row suffice
+    tracemalloc.start()
+    try:
+        masks = build_masks(family, **kwargs)
+        n = masks.B * masks.L
+        report, failures = cli.verify_masks(masks, n, 1, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == []
+    assert report.welch < report.mu <= report.bound
+    assert peak < 100 * 2**20, peak
+    _check_pair_from_masks(masks, n, report.mu, report.argmax_pair)
 
 
 # --- welch bound ----------------------------------------------------------

@@ -8,7 +8,7 @@ from gfsig.analysis import coherence
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
 from gfsig.experiments import build_masks
 from gfsig.galois import build_ext_field, primitive_polynomials
-from gfsig.seqgen import (build_signature_matrix, dft_matrix, gen_cubic_masks,
+from gfsig.seqgen import (MaskingSet, build_signature_matrix, dft_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_random_family,
                           gen_sidelnikov_masks, gen_trace_masks, mask_block,
                           sidelnikov_seed, signature_from_csv,
@@ -141,6 +141,34 @@ def test_seed_functions_under_polynomial_search():
     tr_hits = [p for p in polys
                if trace_seed(build_ext_field(5, 2, p)).tolist() == TRACE_SEED]
     assert sid_hits and tr_hits
+
+
+def _exp_masks(masks):
+    return np.exp(2j * np.pi * (masks.phase_num % masks.phase_den) / masks.phase_den)
+
+
+def test_masks_are_exp_of_the_phases_bit_for_bit():
+    # the masks gather from a table of roots of unity, entry for entry what exp gives
+    for family, kwargs in VERIFY_GRID + VERIFY_GRID_QUICK:
+        masks = build_masks(family, **kwargs)
+        assert masks.masks.tobytes() == _exp_masks(masks).tobytes(), (family, kwargs)
+    rng = np.random.default_rng(4)
+    for family, L, den, params in [("cubic", 11, 11, {"L": 11}), ("pr", 13, 6, {"L": 13, "H": 6}),
+                                   ("sidelnikov", 24, 8, {"L": 24, "H": 8}),
+                                   ("trace", 26, 3, {"L": 26})]:
+        n_bases = params["H"] - 1 if "H" in params else L if family == "cubic" else L + 1
+        base = rng.integers(0, den, size=(n_bases, L))
+        masks = MaskingSet(family, base, den, None, params)
+        assert masks.masks.tobytes() == _exp_masks(masks).tobytes(), family
+
+
+def test_dft_matrix_is_one_read_only_array_per_length():
+    F = dft_matrix(23)
+    assert dft_matrix(23) is F and dft_matrix(7) is not F
+    with pytest.raises(ValueError):
+        F[0, 0] = 0
+    kl = np.outer(np.arange(23), np.arange(23)) % 23
+    assert np.array_equal(F, np.exp(-2j * np.pi * kl / 23) / np.sqrt(23))
 
 
 def test_dft_matrix_unitary():
