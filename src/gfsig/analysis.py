@@ -28,14 +28,15 @@ def coherence(S, with_pair: bool = False):
     """Maximum normalized inner product over distinct column pairs.
 
     A masked-DFT signature matrix with two or more blocks of ``mask_rows`` pairs
-    the blocks MaskingSet.bases names with every block (see _masked_dft_coherence).
+    the blocks MaskingSet.bases names with those .partners marks (see _masked_dft_coherence).
     Anything else goes through the normalized Gram matrix, GRAM_BLOCK columns at
     a time. Raises on zero columns. with_pair=True also returns the column pair
     (i, j), i < j, that attains the maximum.
     """
     V = getattr(S, "mask_rows", None)
     if V is not None and len(V) > 1:
-        best, pair = _masked_dft_coherence(V, S.masks.bases(len(V)))
+        bases = S.masks.bases(len(V))
+        best, pair = _masked_dft_coherence(V, bases, S.masks.partners(bases, len(V)))
     else:
         best, pair = _gram_coherence(as_matrix(S))
     best = min(best, 1.0)
@@ -69,28 +70,32 @@ def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, pair
 
 
-def _masked_dft_coherence(V: np.ndarray, bases) -> tuple[float, tuple[int, int]]:
+def _masked_dft_coherence(V: np.ndarray, bases, partners=None) -> tuple[float, tuple[int, int]]:
     """Coherence of [diag(v_0) F_L, ..., diag(v_{n-1}) F_L], n >= 2, from its mask rows V.
 
     Column l of block c meets column l' of block b in DFT(conj(v_c) v_b)[l' - l] / L.
     Only the last block can be partial, so two blocks attain their largest |DFT|.
     With v_b base c_b shifted by s_b, blocks b, b' with s_b <= s_b' have the |DFT|s
     of base c_b and base c_b' shifted by s_b' - s_b, a block of any prefix that
-    holds b'. So each unshifted block in `bases` needs one row of |DFT|s against
-    every block (MaskingSet.bases may need fewer); a row times F_L beats
-    np.fft.fft at prime L <= 47.
-    """
+    holds b'. So each unshifted block in `bases` needs one row of |DFT|s against the
+    blocks its row of `partners` marks (None: every other block); MaskingSet.bases and
+    .partners keep fewer. The rows are V times diag(conj(v_c)) F_L, which beats np.fft.fft
+    at prime L <= 47 and needs no copy of V scaled by conj(v_c)."""
     L = V.shape[1]
     F = dft_matrix(L)
     best = -1.0
     pair = (0, L)
-    for c in bases:
-        G = np.abs((V * V[c].conj()) @ F)
-        G[c] = -1.0  # a block's own columns are orthonormal
+    if partners is None:  # every block but its own, whose columns are orthonormal
+        partners = np.not_equal.outer(bases, np.arange(len(V)))
+    for c, blocks in zip(bases, partners):
+        if not blocks.any():
+            continue
+        G = np.abs(V[blocks] @ (V[c].conj()[:, None] * F))
         k = int(np.argmax(G))
         if G.flat[k] > best:
             best = float(G.flat[k])
-            b, shift = divmod(k, L)
+            row, shift = divmod(k, L)
+            b = int(np.flatnonzero(blocks)[row])
             # l' - l = shift, and column 0 of the later block, which alone may be partial
             pair = (c * L + (-shift) % L, b * L) if c < b else (b * L + shift, c * L)
     return best / math.sqrt(L), pair

@@ -11,6 +11,7 @@ character value derived from it equals 1 at the zero element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +20,7 @@ DEFAULT_MAX_Q = 1 << 20
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -186,24 +176,17 @@ class ExtField:
             if not 0 <= code < self.q:
                 raise ValueError(f"code {code} outside [0, {self.q})")
             return code
-        coeffs = list(x)
+        coeffs = [int(c) for c in x]
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        code = 0
-        for i, c in enumerate(coeffs):
-            c = int(c)
+        for c in coeffs:
             if not 0 <= c < self.p:
                 raise ValueError(f"coefficient {c} outside [0, {self.p})")
-            code += c * self.p**i
-        return code
+        return sum(c * self.p**i for i, c in enumerate(coeffs))
 
     def coeffs(self, x) -> tuple[int, ...]:
         code = self.encode(x)
-        out = []
-        for _ in range(self.m):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
+        return tuple(code // self.p**i % self.p for i in range(self.m))
 
     def element(self, x) -> FieldElement:
         return FieldElement(self.coeffs(x))

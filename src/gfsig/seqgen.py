@@ -30,7 +30,9 @@ class Family:
     A deterministic family's masks are built from its base masks by `shift_rule`
     (see MaskingSet): mask b is base c_b cyclically shifted by s_b,
     v_b[k] = u_(c_b)[k + s_b], or for a chirped family u_(c_b)[k] exp(2j pi s_b k^2 / L).
-    Base c is block number c among the blocks with s_b = 0.
+    Base c is block number c among the blocks with s_b = 0. Coherence needs the rows of a
+    few blocks (MaskingSet.bases, .partners): cubic's block 0 and one class per row, trace's
+    block 0 at full capacity, and else each base's row, one of each conjugate-mirror pair.
     """
 
     needs: tuple[str, ...]  # config keys it cannot be built without
@@ -39,10 +41,31 @@ class Family:
     bound: Callable | None = None  # (L, N within those columns) -> published bound
     shift_rule: Callable | None = None  # (L, H, blocks b) -> (base c_b, shift s_b), arrays
     chirp: bool = False  # s_b multiplies by the k^2 chirp instead of shifting
+    orbits: Callable | None = None  # MaskingSet -> whether block 0 meets every block pair's orbit
 
     def bases(self, L: int, H: int | None, n: int) -> list[int]:
         """The blocks b < n with s_b = 0."""
         return np.flatnonzero(self.shift_rule(L, H, np.arange(n))[1] == 0).tolist()
+
+
+def trace_bases(t1: np.ndarray, p: int) -> np.ndarray:
+    """Base rows Tr(a^k + theta a^(2k)), theta = 0, a^0, ..., a^(L-1), from t1[k] = Tr(a^k)."""
+    k = np.arange(len(t1))
+    return np.vstack([t1, (t1 + t1[(k[:, None] + 2 * k[None, :]) % len(t1)]) % p])
+
+
+def trace_orbits(masks: MaskingSet) -> bool:
+    """Whether the seed obeys the primitive polynomial's recurrence, so is Tr(x a^k), and the
+    base rows are its trace_bases. Then blocks (theta, s), (theta', s') multiply to
+    Tr(x (y a^k + z a^(2k))), y = a^s' - a^s, z = theta' a^(2s') - theta a^(2s), and a shift
+    by j, (y, z) -> (y a^j, z a^(2j)), keeps |DFT|. Block 0 meets every orbit: (1, z) at
+    a^s' = 2, theta' = z / 4, and (0, z) at s' = 0, theta' = z."""
+    t, p, poly = masks.seed, masks.phase_den, masks.params.get("poly")
+    if t is None or poly is None or p != masks.params.get("p"):
+        return False
+    k, m = np.arange(len(t)), len(poly) - 1
+    lfsr = -np.asarray(poly[:m]) @ t[(k + np.arange(m)[:, None]) % len(t)] % p
+    return np.array_equal(t[(k + m) % len(t)], lfsr) and np.array_equal(masks.base_num, trace_bases(t, p))
 
 
 FAMILIES = {
@@ -59,7 +82,7 @@ FAMILIES = {
     "trace": Family(
         ("p", "m"), (), lambda L, H: L * L,
         lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L,
-        lambda L, H, b: np.divmod(b, L)),
+        lambda L, H, b: np.divmod(b, L), orbits=trace_orbits),
     **dict.fromkeys(("gaussian", "musa", "qpsk"), Family(("L",), ("gen_trials",))),
 }
 DETERMINISTIC_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is not None)
@@ -124,14 +147,29 @@ class MaskingSet:
         fixed row, u_c = u_0 w^c, as cubic's do: then conj(v_b) v_b' depends only on the
         class (c_b' - c_b, s_b' - s_b) mod L. Block 0 meets each class (or its conjugate
         mirror) but those a partial last row of L blocks lacks, which that row's first
-        block meets: L^2 - 1 rows at full capacity, not L^3.
+        block meets: L^2 - 1 rows at full capacity, not L^3. Block 0 alone also serves at
+        full capacity when the family's `orbits` check holds (trace): L (L + 1) - 1 rows.
         """
         fam = FAMILIES[self.family]
         bases = fam.bases(self.L, self.params.get("H"), n)
         step = np.diff(self.base_num, axis=0) % self.phase_den
         if fam.chirp and (step == step[:1]).all():
             return [0] if n % self.L == 0 else sorted({0, bases[-1]})
-        return bases
+        return [0] if n == self.B and fam.orbits and fam.orbits(self) else bases
+
+    def partners(self, bases: list[int], n: int) -> np.ndarray:
+        """(len(bases), n) bool: row i marks the blocks b < n, b != c = bases[i], c meets.
+
+        With c of base row r and b base r' shifted (or chirped) by s, conj(v_c) v_b is, up to
+        a shift, the conjugate of conj(v_c') v_b' for c' of base r' and b' base r shifted by
+        -s: a conjugate mirror with the same largest |DFT|. So c skips b when r' < r, c' is
+        in `bases` and b' < n; at full capacity it meets the blocks of base r' >= r alone."""
+        r, s = FAMILIES[self.family].shift_rule(self.L, self.params.get("H"), np.arange(n))
+        present = np.zeros((len(self.base_num), self.L), bool)
+        present[r, s] = True  # (base row, shift) of each block b < n
+        rc = r[bases, None]
+        mirrored = (r == rc).any(0) & (r < rc) & np.take(present[r[bases]], -s % self.L, axis=1)
+        return ~mirrored & np.not_equal.outer(bases, np.arange(n))
 
 
 @dataclass(frozen=True)
@@ -264,11 +302,8 @@ def gen_trace_masks(p: int, m: int, poly=None) -> MaskingSet:
     fld = build_ext_field(p, m, poly=poly)
     L = fld.q - 1
     t1 = trace_seed(fld)
-    k = np.arange(L, dtype=np.int64)
-    # base l1 at k is Tr(a^k + theta a^(2k)); mask l1 L + l2 is that base at k + l2
-    base = np.vstack([t1, (t1 + t1[(k[:, None] + 2 * k[None, :]) % L]) % p])
     params = {"p": p, "m": m, "L": L, "poly": fld.poly}
-    return MaskingSet("trace", base, p, t1, params)
+    return MaskingSet("trace", trace_bases(t1, p), p, t1, params)  # mask l1 L + l2: base l1 at k + l2
 
 
 def mask_block(masks: MaskingSet, b: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from gfsig.galois import is_prime
 from gfsig.seqgen import (FAMILIES, MaskingSet, SignatureMatrix,
                           build_signature_matrix, dft_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_sidelnikov_masks, gen_trace_masks,
-                          masked_dft_columns)
+                          masked_dft_columns, trace_bases)
 
 
 def rand_complex(rng, shape):
@@ -344,6 +344,76 @@ def test_cubic_classes_need_stepped_bases():
     assert masks.bases(14) == [0]
 
 
+# --- orbit representatives: trace's block 0, one row per mirror pair ------------
+
+def test_orbit_rows_match_every_base_on_every_instance():
+    # the bound sweep's instances and column counts, against every base paired with every block
+    reports = 0
+    for family, kwargs in _bound_sweep_instances():
+        masks = build_masks(family, **kwargs)
+        L, B, H = masks.L, masks.B, masks.params.get("H")
+        if family == "trace":
+            assert masks.bases(B) == [0]  # the orbit shortcut, not L + 1 bases
+        for n in sorted({min(small_regime_columns(family, L, H), B * L), B * L}):
+            sig = build_signature_matrix(masks, n, 1)
+            blocks = len(sig.mask_rows)
+            if blocks < 2:  # one block: the Gram scan
+                continue
+            mu, pair = coherence(sig, with_pair=True)
+            every = FAMILIES[family].bases(L, H, blocks)
+            assert abs(mu - base_block_coherence(sig.mask_rows, every)[0]) < 1e-12, (family, kwargs, n)
+            _check_pair_from_masks(masks, n, mu, pair)
+            reports += 1
+    assert reports == 314  # 332 reports, less the 18 of a single block
+
+
+def test_mirror_rows_at_full_capacity():
+    # base row r pairs with the blocks of base rows r' >= r, and not with itself
+    masks = gen_pr_masks(11, 10)
+    bases = masks.bases(masks.B)
+    r = FAMILIES["pr"].shift_rule(11, 10, np.arange(masks.B))[0]
+    expected = (r >= r[bases, None]) & np.not_equal.outer(bases, np.arange(masks.B))
+    assert np.array_equal(masks.partners(bases, masks.B), expected)
+    assert expected.sum() == sum((9 - i) * 11 - 1 for i in range(9))  # 449 of 9 * 98 rows
+
+
+def test_mirror_rows_of_a_subset_of_bases():
+    # a row is dropped only for a mirror row the given bases compute: random pr bases,
+    # two of them, every N, and the rows kept still hold those two bases' maximum
+    L, H = 11, 10
+    for seed in range(3):
+        base = np.random.default_rng(seed).integers(0, H, size=(H - 1, L))
+        masks = MaskingSet("pr", base, H, None, {"L": L, "H": H})
+        for n in range(5, masks.B + 1):
+            bases = [1, 4]
+            mu = analysis._masked_dft_coherence(masks.masks[:n], bases, masks.partners(bases, n))
+            assert abs(mu[0] - base_block_coherence(masks.masks[:n], bases)[0]) < 1e-12, (seed, n)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_trace_block_zero_needs_trace_rows(p):
+    # block 0 alone meets every orbit only if the base rows are Tr(a^k + theta a^(2k)):
+    # one numerator changed, or rows rebuilt from a seed that is no trace sequence, and
+    # block 0 alone understates mu, so such sets pair every base with every block
+    real = gen_trace_masks(p, 2)
+    L, B = real.L, real.B
+    every = FAMILIES["trace"].bases(L, None, B)
+    assert real.bases(B) == [0] and real.bases(B - 1) == every
+    bumped = real.base_num.copy()
+    bumped[1, 0] = (bumped[1, 0] + 1) % p  # theta = 1, k = 0
+    t = np.random.default_rng(p).integers(0, p, L)
+    for masks in (MaskingSet("trace", bumped, p, real.seed, dict(real.params)),
+                  MaskingSet("trace", trace_bases(t, p), p, t, dict(real.params))):
+        assert masks.bases(B) == every
+        sig = build_signature_matrix(masks, B * L, 1)
+        mu, pair = coherence(sig, with_pair=True)
+        assert abs(mu - base_block_coherence(masks.masks, every)[0]) < 1e-12
+        assert mu > analysis._masked_dft_coherence(masks.masks, [0])[0] + 1e-3
+        if p == 3:  # q = 9: 576 columns
+            assert abs(mu - analysis._gram_coherence(sig.entries)[0]) < 1e-12
+        _check_pair_from_masks(masks, B * L, mu, pair)
+
+
 # --- verify from the masks alone ---------------------------------------------
 
 VERIFY_CASES = VERIFY_GRID + [case for case in VERIFY_GRID_QUICK if case not in VERIFY_GRID]
@@ -389,9 +459,12 @@ def test_verify_masks_matches_the_full_matrix(family, kwargs, monkeypatch):
         assert abs(abs(np.vdot(S[:, i], S[:, j])) - report.mu) < 1e-12, n
 
 
-@pytest.mark.parametrize("family,kwargs", [("cubic", {"L": 101}), ("pr", {"L": 101, "H": 100})])
+@pytest.mark.parametrize("family,kwargs", [("cubic", {"L": 101}), ("pr", {"L": 101, "H": 100}),
+                                           ("trace", {"p": 3, "m": 4}),
+                                           ("sidelnikov", {"p": 3, "m": 4, "H": 80})])
 def test_verify_masks_far_past_desk_scale(family, kwargs):
-    # N ~ 1.0e6 columns: S alone would take 1.56 GB; the masks and one block row suffice
+    # N ~ 0.5e6 to 1.0e6 columns: S alone would take 0.8 to 1.56 GB; the masks and
+    # one block row suffice
     tracemalloc.start()
     try:
         masks = build_masks(family, **kwargs)
