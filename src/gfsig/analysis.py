@@ -80,7 +80,7 @@ def _masked_dft_coherence(V: np.ndarray, bases, partners=None) -> tuple[float, t
     holds b'. So each unshifted block in `bases` needs one row of |DFT|s against the
     blocks its row of `partners` marks (None: every other block); MaskingSet.bases and
     .partners keep fewer. The rows are V times diag(conj(v_c)) F_L, which beats np.fft.fft
-    at prime L <= 47 and needs no copy of V scaled by conj(v_c)."""
+    at prime L <= 47 and scales the L x L F_L rather than the rows."""
     L = V.shape[1]
     F = dft_matrix(L)
     best = -1.0
