@@ -18,8 +18,8 @@ from .experiments import (ExperimentConfig, ResultRow, build_masks,
                           build_signatures, draw_trial, format_config,
                           load_config, parse_config, run_experiment,
                           run_trial, write_results)
-from .galois import (ExtField, FieldElement, PrimeField, build_ext_field,
-                     find_primitive_root, is_prime, primitive_polynomials)
+from .galois import (ExtField, PrimeField, build_ext_field, find_primitive_root,
+                     is_prime, primitive_polynomials)
 from .seqgen import (MaskingSet, SignatureMatrix, build_signature_matrix,
                      dft_matrix, gen_cubic_masks, gen_pr_masks,
                      gen_random_family, gen_sidelnikov_masks, gen_trace_masks,

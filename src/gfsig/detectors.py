@@ -190,13 +190,11 @@ def cdml_decide(gamma_hat: np.ndarray, n_devices: int, q_per_device: int,
 
 
 def amp_decide(X_hat: np.ndarray, n_devices: int, q_per_device: int,
-               n_antennas: int | None = None, xi_th: float = XI_TH) -> DetectionResult:
+               xi_th: float = XI_TH) -> DetectionResult:
     """Per device: active iff max_q ||x_n^(q)||^2 / M >= xi_th."""
     X_hat = np.asarray(X_hat)
     if X_hat.shape[0] != n_devices * q_per_device:
         raise ValueError("X_hat must have n_devices * q_per_device rows")
-    if n_antennas is not None and X_hat.shape[1] != n_antennas:
-        raise ValueError("antenna count disagrees with X_hat")
     M = X_hat.shape[1]
     power = (np.abs(X_hat) ** 2).sum(axis=1) / M
     return _decide(power.reshape(n_devices, q_per_device), xi_th)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -34,23 +34,28 @@ DETECTORS = {
     "mmvamp": {"max_iters": "[1, inf)", "damping": "[0, 1)", "xi_th": "(0, inf)",
                "sigma_w2": "[0, inf)"},
 }
+# config key -> interval, as in DETECTORS, for every config and each grid entry; gen_trials
+# is read by the random families only and is at its default elsewhere; base_seed keys trial_rng
+RANGES = {"N_d": "[1, inf)", "Q": "[1, inf)", "M": "[1, inf)", "trials": "[1, inf)",
+          "gen_trials": "[1, inf)", "base_seed": "[0, 4294967296)"}
 WORKERS_ENV = "GFSIG_WORKERS"
 
 CSV_HEADER = "family,L,H,N_d,Q,K,M,detector,trials,p_e,p_e_stderr,seconds"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """The config schema: one field per config key, in format_config's order."""
+
     family: str
-    n_devices: int
-    q_per_device: int
-    k_grid: tuple[int, ...]
-    m_grid: tuple[int, ...]
-    trials: int
     L: int | None = None
     p: int | None = None
     m: int | None = None
     H: int | None = None
+    n_devices: int = field(metadata={"key": "N_d"})
+    q_per_device: int = field(metadata={"key": "Q"})
+    k_grid: tuple[int, ...] = field(metadata={"key": "K"})
+    m_grid: tuple[int, ...] = field(metadata={"key": "M"})
     sigma_w2: float = 0.1
     detector: str = "cdml"
     sweeps: int = SWEEPS
@@ -58,35 +63,19 @@ class ExperimentConfig:
     max_iters: int = MAX_ITERS
     damping: float = DAMPING
     gen_trials: int = 10
+    trials: int
     base_seed: int = 0
     output: str = "results.csv"
 
 
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-# config-file key <-> dataclass field
-_KEYS = [
-    ("family", "family", str),
-    ("L", "L", int),
-    ("p", "p", int),
-    ("m", "m", int),
-    ("H", "H", int),
-    ("N_d", "n_devices", int),
-    ("Q", "q_per_device", int),
-    ("K", "k_grid", "grid"),
-    ("M", "m_grid", "grid"),
-    ("sigma_w2", "sigma_w2", float),
-    ("detector", "detector", str),
-    ("sweeps", "sweeps", int),
-    ("xi_th", "xi_th", float),
-    ("max_iters", "max_iters", int),
-    ("damping", "damping", float),
-    ("gen_trials", "gen_trials", int),
-    ("trials", "trials", int),
-    ("base_seed", "base_seed", int),
-    ("output", "output", str),
-]
-
+# config key (the field name unless its metadata gives one) -> field, in key order;
+# a field without a default is a required key
+_FIELDS = {f.metadata.get("key", f.name): f for f in fields(ExperimentConfig)}
+# field annotation, a string under the __future__ import, less " | None" ->
+# (converter of a config value, what the value must be); a tuple is a comma-list grid
+_CONVERT = {"str": (str, ""), "int": (int, "an integer"), "float": (float, "a number"),
+            "tuple[int, ...]": (lambda v: tuple(int(x) for x in v.split(",")),
+                                "a comma list of integers")}
 
 # config keys read only under some families or some detectors
 _FAMILY_KEYS = {key for fam in FAMILIES.values() for key in fam.needs + fam.takes}
@@ -101,7 +90,7 @@ def _reads(cfg: ExperimentConfig, key: str) -> bool:
 
 
 def _within(value, interval: str) -> bool:
-    """Whether `value` lies in an interval of DETECTORS."""
+    """Whether `value` lies in an interval of DETECTORS or RANGES."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     return (low <= value if interval[0] == "[" else low < value) and value < high
 
@@ -120,20 +109,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate config key {key!r} "
                              f"(first set on line {raw[key][0]})")
         raw[key] = (lineno, value)
-    known = {k: (f, conv) for k, f, conv in _KEYS}
     kwargs = {}
     for key, (lineno, value) in raw.items():
-        if key not in known:
+        if key not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        fname, conv = known[key]
+        convert, what = _CONVERT[_FIELDS[key].type.removesuffix(" | None")]
         try:
-            kwargs[fname] = tuple(int(v) for v in value.split(",")) if conv == "grid" else conv(value)
+            kwargs[_FIELDS[key].name] = convert(value)
         except ValueError:
-            what = {"grid": "a comma list of integers", int: "an integer", float: "a number"}[conv]
             raise ValueError(f"line {lineno}: {key} = {value!r} is not {what}") from None
-    missing = [k for k, f, _ in _KEYS
-               if f in ("family", "n_devices", "q_per_device", "k_grid", "m_grid", "trials")
-               and f not in kwargs]
+    missing = [key for key, f in _FIELDS.items() if f.default is MISSING and f.name not in kwargs]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
     cfg = ExperimentConfig(**kwargs)
@@ -147,11 +132,11 @@ def format_config(cfg: ExperimentConfig) -> str:
     Keys the family or detector does not read are left out.
     """
     lines = []
-    for key, fname, conv in _KEYS:
-        value = getattr(cfg, fname)
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, f.name)
         if value is None or not _reads(cfg, key):
             continue
-        if conv == "grid":
+        if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
@@ -174,30 +159,23 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         raise ValueError(f"unknown family {cfg.family!r}")
     if cfg.detector not in DETECTORS:
         raise ValueError(f"unknown detector {cfg.detector!r}")
-    given = {key: lines.get(key) for key, fname, _ in _KEYS
-             if key in lines or getattr(cfg, fname) != _DEFAULTS[fname]}
+    given = {key: lines.get(key) for key, f in _FIELDS.items()
+             if key in lines or getattr(cfg, f.name) != f.default}
     fam = FAMILIES[cfg.family]
     check_keys("family", cfg.family, fam.needs, fam.needs + fam.takes,
                {k: v for k, v in given.items() if k in _FAMILY_KEYS})
     check_keys("detector", cfg.detector, (), DETECTORS[cfg.detector],
                {k: v for k, v in given.items() if k in _TUNING_KEYS})
-    # gen_trials is read by the random families only, and is at its default elsewhere
-    for key, interval in dict(DETECTORS[cfg.detector], gen_trials="[1, inf)").items():
-        if not _within(getattr(cfg, key), interval):
-            where = f"line {lines[key]}: " if key in lines else ""
-            raise ValueError(f"{where}{key} = {getattr(cfg, key)} must lie in {interval}")
-    if cfg.n_devices < 1 or cfg.q_per_device < 1:
-        raise ValueError("N_d and Q must be positive")
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
+    for key, interval in {**RANGES, **DETECTORS[cfg.detector]}.items():
+        value = getattr(cfg, _FIELDS[key].name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not _within(v, interval):
+                where = f"line {lines[key]}: " if key in lines else ""
+                raise ValueError(f"{where}{key} = {v} must lie in {interval}")
     if not cfg.k_grid or not cfg.m_grid:
         raise ValueError("K and M grids must be non-empty")
     if any(k < 0 or k > cfg.n_devices for k in cfg.k_grid):
         raise ValueError("every K must lie in [0, N_d]")
-    if any(mm < 1 for mm in cfg.m_grid):
-        raise ValueError("every M must be positive")
-    if not 0 <= cfg.base_seed < 1 << 32:  # it is a trial_rng key
-        raise ValueError("base_seed must lie in [0, 2**32)")
 
 
 def build_masks(family: str, L: int | None = None, p: int | None = None,
@@ -248,7 +226,7 @@ def run_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
     # a tuning key det_params lacks takes its ExperimentConfig default
-    tune = {key: det_params.get(key, _DEFAULTS[key]) for key in DETECTORS[detector]}
+    tune = {key: det_params.get(key, _FIELDS[key].default) for key in DETECTORS[detector]}
     if detector == "cdml":
         est = cdml_estimate(Y, S_scaled, sigma_w2, sweeps=tune["sweeps"], rng=rng)
         decision = cdml_decide(est.gamma_hat, n_devices, q_per_device, xi_th=tune["xi_th"])

@@ -12,7 +12,6 @@ character value derived from it equals 1 at the zero element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +44,6 @@ def find_primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise AssertionError("no primitive root found; p is not prime")
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Coefficient vector (c_0, ..., c_{m-1}) of a field element, low degree first."""
-
-    coeffs: tuple[int, ...]
 
 
 def _exp_codes(p: int, m: int, poly: tuple[int, ...]) -> list[int] | None:
@@ -169,8 +161,6 @@ class ExtField:
     # --- element handling -------------------------------------------------
 
     def encode(self, x) -> int:
-        if isinstance(x, FieldElement):
-            x = x.coeffs
         if isinstance(x, (int, np.integer)):
             code = int(x)
             if not 0 <= code < self.q:
@@ -187,9 +177,6 @@ class ExtField:
     def coeffs(self, x) -> tuple[int, ...]:
         code = self.encode(x)
         return tuple(code // self.p**i % self.p for i in range(self.m))
-
-    def element(self, x) -> FieldElement:
-        return FieldElement(self.coeffs(x))
 
     # --- arithmetic on codes ----------------------------------------------
 

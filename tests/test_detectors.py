@@ -256,12 +256,6 @@ def test_amp_decide_examples():
     assert res.q_hat[1] == 0
 
 
-def test_amp_decide_antenna_check():
-    X = np.zeros((8, 4), dtype=complex)
-    with pytest.raises(ValueError):
-        amp_decide(X, 2, 4, n_antennas=8)
-
-
 # --- MMV-AMP -------------------------------------------------------------------
 
 def test_amp_zero_observation_shrinks_to_zero():

@@ -20,6 +20,9 @@ TINY = ExperimentConfig(
 
 def test_config_round_trip():
     text = format_config(TINY)
+    assert text == ("family = cubic\nL = 7\nN_d = 30\nQ = 2\nK = 3\nM = 4,8\nsigma_w2 = 0.1\n"
+                    "detector = cdml\nsweeps = 4\nxi_th = 0.25\ntrials = 4\nbase_seed = 5\n"
+                    "output = out.csv\n")
     assert parse_config(text) == TINY
     # and a second round for stability
     assert format_config(parse_config(text)) == text
@@ -44,7 +47,14 @@ def test_config_parsing_features():
 
 
 @pytest.mark.parametrize("text,msg", [
-    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 0", "trials"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 0",
+     r"^line 7: trials = 0 must lie in \[1, inf\)$"),
+    ("family = cubic\nL = 7\nN_d = 0\nQ = 2\nK = 0\nM = 4\ntrials = 2",
+     r"^line 3: N_d = 0 must lie in \[1, inf\)$"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 0\nK = 2\nM = 4\ntrials = 2",
+     r"^line 4: Q = 0 must lie in \[1, inf\)$"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4, 0\ntrials = 2",
+     r"^line 6: M = 0 must lie in \[1, inf\)$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 11\nM = 4\ntrials = 2", "K"),
     ("family = cubic\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2", "needs L"),
     ("family = sidelnikov\nL = 8\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2", "needs p"),
@@ -70,7 +80,7 @@ def test_config_parsing_features():
     ("family = gaussian\nL = 7\np = 3\nm = 2\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2",
      "family 'gaussian' takes no p"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\nbase_seed = 4294967296",
-     "base_seed"),
+     r"^line 8: base_seed = 4294967296 must lie in \[0, 4294967296\)$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\ndamping = 0.9",
      "line 8: detector 'cdml' takes no damping"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\nmax_iters = 50\ntrials = 2",
@@ -107,9 +117,9 @@ def test_config_parsing_features():
      "^line 7: sigma_w2 = 'abc' is not a number$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2,,3\nM = 4\ntrials = 2",
      "^line 5: K = '2,,3' is not a comma list of integers$"),
-], ids=["trials0", "kbig", "noL", "nop", "unknown", "missing", "baddet", "dupkey",
-        "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L", "cubic-p",
-        "pr-m", "random-p", "seed-2**32", "cdml-damping", "cdml-max_iters",
+], ids=["trials0", "N_d0", "Q0", "M-zero-item", "kbig", "noL", "nop", "unknown", "missing",
+        "baddet", "dupkey", "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L",
+        "cubic-p", "pr-m", "random-p", "seed-2**32", "cdml-damping", "cdml-max_iters",
         "mmvamp-sweeps", "cubic-gen_trials", "trace-gen_trials-default",
         "cdml-sweeps0", "cdml-sigma_w2-0", "mmvamp-max_iters0", "mmvamp-damping1.5",
         "mmvamp-damping-negative", "random-gen_trials0", "cdml-xi_th0", "mmvamp-xi_th-1",
@@ -129,6 +139,8 @@ def test_tuning_ranges_admit_their_closed_ends():
 def test_validate_config_range_checks_a_config_built_in_code():
     with pytest.raises(ValueError, match=r"^damping = 1.0 must lie in \[0, 1\)"):
         validate_config(replace(TINY, detector="mmvamp", sweeps=15, damping=1.0))
+    with pytest.raises(ValueError, match=r"^N_d = 0 must lie in \[1, inf\)$"):
+        validate_config(replace(TINY, n_devices=0, k_grid=(0,)))
 
 
 def test_run_trial_missing_tuning_keys_take_config_defaults():
