@@ -272,19 +272,17 @@ class CoherenceReport:
         )
 
 
-def coherence_report(S, family: str, H: int | None, n_devices: int,
-                     q_per_device: int) -> CoherenceReport:
-    L, N = np.shape(S)  # a mask-built SignatureMatrix's entries stay unbuilt
-    if N != n_devices * q_per_device:
-        raise ValueError("matrix width disagrees with n_devices * q_per_device")
-    mu, pair = coherence(S, with_pair=True)
-    welch = welch_bound(L, N)
-    if family in DETERMINISTIC_FAMILIES:
-        bound = family_coherence_bound(family, L, H, n_devices, q_per_device)
-        regime = "small" if small_regime(family, L, H, n_devices, q_per_device) else "general"
-    else:
-        bound, regime = None, None
-    return CoherenceReport(family, L, H, n_devices, q_per_device, mu, welch, bound, regime, pair)
+def coherence_report(sig) -> CoherenceReport:
+    """Coherence of a SignatureMatrix next to its Welch and (deterministic) family bounds."""
+    L, N = sig.shape  # a mask-built SignatureMatrix's entries stay unbuilt
+    H = sig.params.get("H")
+    mu, pair = coherence(sig, with_pair=True)
+    bound = regime = None
+    if sig.family in DETERMINISTIC_FAMILIES:
+        small = small_regime(sig.family, L, H, sig.n_devices, sig.q_per_device)
+        bound, regime = FAMILIES[sig.family].bound(L, small), "small" if small else "general"
+    return CoherenceReport(sig.family, L, H, sig.n_devices, sig.q_per_device, mu,
+                           welch_bound(L, N), bound, regime, pair)
 
 
 def bound_failures(report: CoherenceReport, tol: float = 1e-9) -> list[str]:

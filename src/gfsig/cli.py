@@ -80,14 +80,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def verify_masks(masks, n_devices: int, q_per_device: int, rng, lift_cols: int = 48,
-                 ortho_blocks: int = 10) -> tuple[CoherenceReport, list[str]]:
-    """Bound, Welch, lifted-coherence, and block-orthonormality checks for one S, from its masks."""
-    sig = build_signature_matrix(masks, n_devices, q_per_device)
-    report = coherence_report(sig, masks.family, masks.params.get("H"), n_devices, q_per_device)
+def verify_masks(masks, n_devices: int, rng) -> tuple[CoherenceReport, list[str]]:
+    """Bound, Welch, lifted-coherence (48 columns) and block-orthonormality (10 blocks)
+    checks for S of `masks` with n_devices devices and Q = 1, from its masks."""
+    sig = build_signature_matrix(masks, n_devices, 1)
+    report = coherence_report(sig)
     failures = bound_failures(report)
 
-    cols = rng.choice(sig.N, size=min(lift_cols, sig.N), replace=False)
+    cols = rng.choice(sig.N, size=min(48, sig.N), replace=False)
     sub = masked_dft_columns(sig.mask_rows, np.sort(cols))
     mu_sub = coherence(sub)
     mu_lift = coherence(khatri_rao_lift(sub))
@@ -95,7 +95,7 @@ def verify_masks(masks, n_devices: int, q_per_device: int, rng, lift_cols: int =
         failures.append(
             f"lifted coherence {mu_lift} differs from mu^2 = {mu_sub**2}")
 
-    for b in rng.choice(masks.B, size=min(ortho_blocks, masks.B), replace=False):
+    for b in rng.choice(masks.B, size=min(10, masks.B), replace=False):
         blk = mask_block(masks, int(b))
         err = np.abs(blk.conj().T @ blk - np.eye(masks.L)).max()
         if err > 1e-10:
@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
         L, B = masks.L, masks.B
         small_n = small_regime_columns(family, L, masks.params.get("H"))
         for n_cols in (min(small_n, B * L), B * L):
-            report, failures = verify_masks(masks, n_cols, 1, rng)
+            report, failures = verify_masks(masks, n_cols, rng)
             rows.append(report.csv_row())
             tag = f"{family} {kwargs} N={n_cols} [{report.regime}]"
             if failures:
@@ -135,6 +135,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     workers = workers_from_env()
+    open(cfg.output, "a").close()  # fail before the first trial, and keep an old file's rows
     rows = run_experiment(cfg, workers=workers,
                           warn=lambda msg: print(f"WARNING: {msg}", file=sys.stderr))
     write_results(rows, cfg.output)

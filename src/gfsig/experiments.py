@@ -10,6 +10,7 @@ activity, channel, and noise by sharing the base seed.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from .simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL, PURPOSE_DETECTOR,
                         draw_channel, synthesize, trial_rng)
 
 # detector -> {config key it reads: valid interval, high end open, low end closed
-# for "[" and open for "("}; run_trial takes sigma_w2 as an argument, not from here
+# for "[" and open for "("}
 DETECTORS = {
     "cdml": {"sweeps": "[1, inf)", "xi_th": "(0, inf)", "sigma_w2": "(0, inf)"},
     "mmvamp": {"max_iters": "[1, inf)", "damping": "[0, 1)", "xi_th": "(0, inf)",
@@ -166,14 +167,16 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
                {k: v for k, v in given.items() if k in _FAMILY_KEYS})
     check_keys("detector", cfg.detector, (), DETECTORS[cfg.detector],
                {k: v for k, v in given.items() if k in _TUNING_KEYS})
+    where = {key: f"line {lines[key]}: " if key in lines else "" for key in _FIELDS}
+    for key in ("K", "M"):  # a repeated entry would run its grid point twice
+        grid = getattr(cfg, _FIELDS[key].name)
+        if not grid or len(set(grid)) < len(grid):
+            raise ValueError(f"{where[key]}{key} grid {list(grid)} is empty or repeats a value")
     for key, interval in {**RANGES, **DETECTORS[cfg.detector]}.items():
         value = getattr(cfg, _FIELDS[key].name)
         for v in value if isinstance(value, tuple) else (value,):
             if not _within(v, interval):
-                where = f"line {lines[key]}: " if key in lines else ""
-                raise ValueError(f"{where}{key} = {v} must lie in {interval}")
-    if not cfg.k_grid or not cfg.m_grid:
-        raise ValueError("K and M grids must be non-empty")
+                raise ValueError(f"{where[key]}{key} = {v} must lie in {interval}")
     if any(k < 0 or k > cfg.n_devices for k in cfg.k_grid):
         raise ValueError("every K must lie in [0, N_d]")
 
@@ -216,30 +219,22 @@ def draw_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
     return activity, H, Y, trial_rng(base_seed, *keys, PURPOSE_DETECTOR)
 
 
-def run_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
-              n_antennas: int, sigma_w2: float, detector: str, det_params: dict,
-              base_seed: int, trial: int) -> tuple[float, bool]:
-    """One Monte-Carlo trial of draw_trial's draws; returns (P_e, diverged)."""
-    activity, _, Y, rng = draw_trial(S, n_devices, q_per_device, k_active, n_antennas,
-                                     sigma_w2, base_seed, trial)
+def run_trial(cfg: ExperimentConfig, S: np.ndarray, k_active: int, n_antennas: int,
+              trial: int) -> tuple[float, bool]:
+    """One trial of draw_trial's draws, sized, tuned and seeded by cfg; returns (P_e, diverged)."""
+    activity, _, Y, rng = draw_trial(S, cfg.n_devices, cfg.q_per_device, k_active,
+                                     n_antennas, cfg.sigma_w2, cfg.base_seed, trial)
     S_scaled = np.sqrt(S.shape[0]) * S
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    # a tuning key det_params lacks takes its ExperimentConfig default
-    tune = {key: det_params.get(key, _FIELDS[key].default) for key in DETECTORS[detector]}
-    if detector == "cdml":
-        est = cdml_estimate(Y, S_scaled, sigma_w2, sweeps=tune["sweeps"], rng=rng)
-        decision = cdml_decide(est.gamma_hat, n_devices, q_per_device, xi_th=tune["xi_th"])
+    if cfg.detector == "cdml":
+        est = cdml_estimate(Y, S_scaled, cfg.sigma_w2, sweeps=cfg.sweeps, rng=rng)
+        decision = cdml_decide(est.gamma_hat, cfg.n_devices, cfg.q_per_device, xi_th=cfg.xi_th)
         return error_metric(activity, decision).p_e, False
-    rate = k_active / (n_devices * q_per_device)
-    est = mmv_amp_estimate(Y, S_scaled, rate, max_iters=tune["max_iters"],
-                           damping=tune["damping"])
-    decision = amp_decide(est.X_hat, n_devices, q_per_device, xi_th=tune["xi_th"])
+    if cfg.detector != "mmvamp":
+        raise ValueError(f"unknown detector {cfg.detector!r}")
+    rate = k_active / (cfg.n_devices * cfg.q_per_device)
+    est = mmv_amp_estimate(Y, S_scaled, rate, max_iters=cfg.max_iters, damping=cfg.damping)
+    decision = amp_decide(est.X_hat, cfg.n_devices, cfg.q_per_device, xi_th=cfg.xi_th)
     return error_metric(activity, decision).p_e, est.diverged
-
-
-def _trial_star(args):
-    return run_trial(*args)
 
 
 @dataclass(frozen=True)
@@ -283,23 +278,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     """Run the full (K, M) grid; one ResultRow per grid point."""
     validate_config(cfg)
     sig = build_signatures(cfg)
-    S = sig.entries
-    det_params = {key: getattr(cfg, key) for key in DETECTORS[cfg.detector]}
     rows = []
     for k_active in cfg.k_grid:
         for n_antennas in cfg.m_grid:
             start = time.perf_counter()
-            args = [
-                (S, cfg.n_devices, cfg.q_per_device, k_active, n_antennas,
-                 cfg.sigma_w2, cfg.detector, det_params, cfg.base_seed, t)
-                for t in range(cfg.trials)
-            ]
+            trial = functools.partial(run_trial, cfg, sig.entries, k_active, n_antennas)
             if workers > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    chunk = -(-len(args) // workers)
-                    outcomes = list(pool.map(_trial_star, args, chunksize=chunk))
+                    chunk = -(-cfg.trials // workers)
+                    outcomes = list(pool.map(trial, range(cfg.trials), chunksize=chunk))
             else:
-                outcomes = [run_trial(*a) for a in args]
+                outcomes = [trial(t) for t in range(cfg.trials)]
             p_es = np.array([p for p, _ in outcomes])
             div_rate = float(np.mean([d for _, d in outcomes]))
             stderr = float(p_es.std(ddof=1) / np.sqrt(len(p_es))) if len(p_es) > 1 else 0.0

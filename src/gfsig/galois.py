@@ -187,9 +187,6 @@ class ExtField:
     def neg(self, a) -> int:
         return self.encode([(-x) % self.p for x in self.coeffs(a)])
 
-    def sub(self, a, b) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b) -> int:
         a, b = self.encode(a), self.encode(b)
         if a == 0 or b == 0:

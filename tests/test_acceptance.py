@@ -6,6 +6,7 @@ failure) before asserting, so a full run doubles as a readable report.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gfsig.analysis import (coherence, family_coherence_bound,
                             welch_bound)
 from gfsig.cli import VERIFY_GRID
 from gfsig.detectors import cdml_decide, cdml_estimate, error_metric
-from gfsig.experiments import build_masks, draw_trial, run_trial
+from gfsig.experiments import ExperimentConfig, build_masks, draw_trial, run_trial
 from gfsig.galois import build_ext_field, primitive_polynomials
 from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_random_family,
@@ -30,8 +31,13 @@ SID_SEED = [6, 17, 5, 2, 11, 13, 18, 21, 4, 19, 1, 9, 0, 22, 15, 10, 20, 14, 12,
 TRACE_SEED = [2, 4, 2, 0, 1, 4, 4, 3, 4, 0, 2, 3, 3, 1, 3, 0, 4, 1, 1, 2, 1, 0, 3, 2]
 
 BASE_SEED = 1
-CDML_PARAMS = {"sweeps": 15, "xi_th": 0.25}
-AMP_PARAMS = {"max_iters": 50, "damping": 0.3, "xi_th": 0.25}
+# the trials of criteria 7 to 9; run_trial reads neither grid nor trial count, so each
+# call names its K, M and trial
+CDML = ExperimentConfig(family="cubic", L=23, n_devices=200, q_per_device=4, k_grid=(20, 40),
+                        m_grid=(4, 16, 64, 192), sigma_w2=0.1, sweeps=15, xi_th=0.25,
+                        trials=200, base_seed=BASE_SEED)
+AMP = replace(CDML, detector="mmvamp", max_iters=50, damping=0.3, k_grid=(10,),
+              m_grid=(4, 8, 16))
 
 
 def report(num, desc, ok, detail=""):
@@ -167,9 +173,9 @@ def cdml_trial_margins(S, n_devices, q_per_device, k_active, n_antennas,
     activity, _, Y, rng = draw_trial(S, n_devices, q_per_device, k_active, n_antennas,
                                      sigma_w2, base_seed, trial)
     est = cdml_estimate(Y, np.sqrt(S.shape[0]) * S, sigma_w2,
-                        sweeps=CDML_PARAMS["sweeps"], rng=rng)
+                        sweeps=CDML.sweeps, rng=rng)
     decision = cdml_decide(est.gamma_hat, n_devices, q_per_device,
-                           xi_th=CDML_PARAMS["xi_th"])
+                           xi_th=CDML.xi_th)
     sent = activity.indicators.reshape(-1).astype(bool)
     return (error_metric(activity, decision).p_e,
             est.gamma_hat[sent].min(), est.gamma_hat[~sent].max())
@@ -180,9 +186,9 @@ def test_cdml_trial_margins_match_run_trial(cubic23_sig):
     # drift between the helper and run_trial shows, and every error must
     # come with a margin crossing
     S = cubic23_sig.entries
-    xi_th = CDML_PARAMS["xi_th"]
+    xi_th = CDML.xi_th
     for t in range(5):
-        want = run_trial(S, 200, 4, 20, 4, 0.1, "cdml", CDML_PARAMS, BASE_SEED, t)[0]
+        want = run_trial(CDML, S, 20, 4, t)[0]
         got, lo, hi = cdml_trial_margins(S, 200, 4, 20, 4, 0.1, BASE_SEED, t)
         assert got == want > 0, (t, got, want)
         assert lo < xi_th or hi >= xi_th, (t, lo, hi)
@@ -194,7 +200,7 @@ def test_criterion_07_cdml_desk_scale(cubic23_sig):
     # is decided by luck. The trend is tested on the per-trial margins lo and
     # hi instead: their crossings of xi_th are the errors P_e counts.
     S = cubic23_sig.entries
-    xi_th = CDML_PARAMS["xi_th"]
+    xi_th = CDML.xi_th
     p_e, lo, hi = {}, {}, {}
     unexplained = 0
     for M in (16, 64):
@@ -223,10 +229,8 @@ def test_criterion_08_cdml_family_ordering(cubic23_sig, qpsk23_sig):
     trials = 600  # >= 200; extra pairs sharpen the paired test
     pc, pq = [], []
     for t in range(trials):
-        pc.append(run_trial(S_cubic, 200, 4, 40, 192, 0.1, "cdml",
-                            CDML_PARAMS, BASE_SEED, t)[0])
-        pq.append(run_trial(S_qpsk, 200, 4, 40, 192, 0.1, "cdml",
-                            CDML_PARAMS, BASE_SEED, t)[0])
+        pc.append(run_trial(CDML, S_cubic, 40, 192, t)[0])
+        pq.append(run_trial(CDML, S_qpsk, 40, 192, t)[0])
     pc, pq = np.array(pc), np.array(pq)
     res = stats.ttest_rel(pq, pc, alternative="greater")
     ok = pc.mean() < pq.mean() and res.pvalue < 0.05
@@ -239,7 +243,7 @@ def test_criterion_09_mmv_amp_desk_scale(cubic23_sig):
     S = cubic23_sig.entries
     p_e = {}
     for M in (4, 8, 16):
-        pes = [run_trial(S, 200, 4, 10, M, 0.1, "mmvamp", AMP_PARAMS, BASE_SEED, t)[0]
+        pes = [run_trial(AMP, S, 10, M, t)[0]
                for t in range(200)]
         p_e[M] = float(np.mean(pes))
     ok = p_e[16] <= 5e-2 and p_e[4] > p_e[8] > p_e[16]

@@ -174,7 +174,7 @@ def test_bound_sweep_every_instance():
         masks = build_masks(family, **kwargs)
         L, B, H = masks.L, masks.B, masks.params.get("H")
         for n in sorted({min(small_regime_columns(family, L, H), B * L), B * L}):
-            report = coherence_report(build_signature_matrix(masks, n, 1), family, H, n, 1)
+            report = coherence_report(build_signature_matrix(masks, n, 1))
             # Welch <= mu <= bound, to bound_failures' 1e-9: the small regime attains
             # its bound, which mu exceeds by rounding (up to 2.5e-16, cubic L = 29)
             assert bound_failures(report) == [], (family, kwargs, n)
@@ -190,7 +190,7 @@ def test_coherence_report_reads_the_masks(monkeypatch):
         raise AssertionError("Gram scan used for a masked-DFT matrix")
 
     monkeypatch.setattr(analysis, "_gram_coherence", no_gram)
-    assert coherence_report(sig, "cubic", None, 1331, 1).mu == expected
+    assert coherence_report(sig).mu == expected
 
 
 def test_mask_rows_must_fit_the_matrix():
@@ -438,7 +438,7 @@ def test_verify_masks_matches_the_full_matrix(family, kwargs, monkeypatch):
         for module in (seqgen, cli):
             monkeypatch.setattr(module, "masked_dft_columns", columns)
         monkeypatch.setattr(cli, "khatri_rao_lift", lift)
-        report, failures = cli.verify_masks(masks, n, 1, np.random.default_rng(n))
+        report, failures = cli.verify_masks(masks, n, np.random.default_rng(n))
         monkeypatch.undo()
         assert failures == [], (n, failures)
         assert max(widths) <= max(48, L), n  # never the L x N matrix
@@ -469,7 +469,7 @@ def test_verify_masks_far_past_desk_scale(family, kwargs):
     try:
         masks = build_masks(family, **kwargs)
         n = masks.B * masks.L
-        report, failures = cli.verify_masks(masks, n, 1, np.random.default_rng(0))
+        report, failures = cli.verify_masks(masks, n, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,17 +575,17 @@ def test_bound_failures_flags_corrupted_matrix():
     sig = build_signature_matrix(gen_cubic_masks(7), 49, 1)
     A = sig.entries.copy()
     A[:, 10] = A[:, 3]  # duplicated column drives mu to 1
-    report = coherence_report(A, "cubic", None, 49, 1)
+    report = coherence_report(SignatureMatrix(A, 49, 1, "cubic", {"L": 7}))
     assert report.mu == pytest.approx(1.0)
     failures = bound_failures(report)
     assert failures and "exceeds" in failures[0]
     # the clean matrix passes
-    assert bound_failures(coherence_report(sig, "cubic", None, 49, 1)) == []
+    assert bound_failures(coherence_report(sig)) == []
 
 
 def test_coherence_report_csv_row():
     sig = build_signature_matrix(gen_pr_masks(11, 10), 90, 1)
-    report = coherence_report(sig, "pr", 10, 90, 1)
+    report = coherence_report(sig)
     row = report.csv_row()
     assert row.startswith("pr,11,10,90,1,")
     assert report.regime == "small"

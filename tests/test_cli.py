@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfsig import cli
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK, main
 from gfsig.seqgen import DETERMINISTIC_FAMILIES
 
@@ -90,6 +91,24 @@ def test_simulate_rejects_workers_below_one(tmp_path, capsys, monkeypatch, value
     assert main(["simulate", str(cfg)]) == 1
     assert f"GFSIG_WORKERS must be >= 1, got '{value}'" in capsys.readouterr().err
     assert not (tmp_path / "res.csv").exists()
+
+
+def test_simulate_checks_output_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise ValueError("interrupted run")
+
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    cfg = tmp_path / "exp.cfg"
+    text = "family = cubic\nL = 7\nN_d = 30\nQ = 2\nK = 3\nM = 4\ntrials = 2\n"
+    cfg.write_text(text + f"output = {tmp_path / 'missing' / 'res.csv'}\n")
+    assert main(["simulate", str(cfg)]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    # an existing results file keeps its rows until the run ends
+    (tmp_path / "res.csv").write_text("old rows\n")
+    cfg.write_text(text + f"output = {tmp_path / 'res.csv'}\n")
+    assert main(["simulate", str(cfg)]) == 1
+    assert "interrupted run" in capsys.readouterr().err
+    assert (tmp_path / "res.csv").read_text() == "old rows\n"
 
 
 def test_simulate_rejects_zero_trials(tmp_path, capsys):

@@ -117,13 +117,18 @@ def test_config_parsing_features():
      "^line 7: sigma_w2 = 'abc' is not a number$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2,,3\nM = 4\ntrials = 2",
      "^line 5: K = '2,,3' is not a comma list of integers$"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2, 2\nM = 4\ntrials = 2",
+     r"^line 5: K grid \[2, 2\] is empty or repeats a value$"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4, 8, 4\ntrials = 2",
+     r"^line 6: M grid \[4, 8, 4\] is empty or repeats a value$"),
 ], ids=["trials0", "N_d0", "Q0", "M-zero-item", "kbig", "noL", "nop", "unknown", "missing",
         "baddet", "dupkey", "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L",
         "cubic-p", "pr-m", "random-p", "seed-2**32", "cdml-damping", "cdml-max_iters",
         "mmvamp-sweeps", "cubic-gen_trials", "trace-gen_trials-default",
         "cdml-sweeps0", "cdml-sigma_w2-0", "mmvamp-max_iters0", "mmvamp-damping1.5",
         "mmvamp-damping-negative", "random-gen_trials0", "cdml-xi_th0", "mmvamp-xi_th-1",
-        "mmvamp-sigma_w2-negative", "N_d-float", "N_d-word", "sigma_w2-word", "K-empty-item"])
+        "mmvamp-sigma_w2-negative", "N_d-float", "N_d-word", "sigma_w2-word", "K-empty-item",
+        "K-dup", "M-dup"])
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
@@ -141,14 +146,18 @@ def test_validate_config_range_checks_a_config_built_in_code():
         validate_config(replace(TINY, detector="mmvamp", sweeps=15, damping=1.0))
     with pytest.raises(ValueError, match=r"^N_d = 0 must lie in \[1, inf\)$"):
         validate_config(replace(TINY, n_devices=0, k_grid=(0,)))
+    for grid, shown in [((4, 4), r"\[4, 4\]"), ((), r"\[\]")]:
+        with pytest.raises(ValueError, match=rf"^M grid {shown} is empty or repeats a value$"):
+            validate_config(replace(TINY, m_grid=grid))
 
 
-def test_run_trial_missing_tuning_keys_take_config_defaults():
+def test_run_trial_reads_the_config_tuning():
+    # no estimate reaches xi_th = 1e9, so every one of the K active devices is missed
     S = build_signatures(TINY).entries
-    for detector, full in [("cdml", {"sweeps": 15, "xi_th": 0.25}),
-                           ("mmvamp", {"max_iters": 50, "damping": 0.3, "xi_th": 0.25})]:
-        assert (run_trial(S, 30, 2, 3, 4, 0.1, detector, {}, 5, 1)
-                == run_trial(S, 30, 2, 3, 4, 0.1, detector, full, 5, 1))
+    for cfg in (TINY, replace(TINY, detector="mmvamp")):
+        assert run_trial(replace(cfg, xi_th=1e9), S, 3, 4, 1)[0] == 3 / 30
+    with pytest.raises(ValueError, match="^unknown detector 'omp'$"):
+        run_trial(replace(TINY, detector="omp"), S, 3, 4, 1)
 
 
 @pytest.mark.parametrize("fn,key", [(cdml_estimate, "sweeps"), (cdml_decide, "xi_th"),
@@ -211,8 +220,8 @@ def test_build_signatures_random_is_seeded():
 
 def test_run_trial_is_repeatable():
     S = build_signatures(TINY).entries
-    p1, _ = run_trial(S, 30, 2, 3, 4, 0.1, "cdml", {"sweeps": 4}, 5, 0)
-    p2, _ = run_trial(S, 30, 2, 3, 4, 0.1, "cdml", {"sweeps": 4}, 5, 0)
+    p1, _ = run_trial(TINY, S, 3, 4, 0)
+    p2, _ = run_trial(TINY, S, 3, 4, 0)
     assert p1 == p2  # bit-for-bit repeatable
 
 
