@@ -51,8 +51,11 @@ def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms < 1e-300):
         raise ValueError("matrix has a zero column")
-    An = A / norms
-    N = An.shape[1]
+    L, N = A.shape
+    # A tall A (such as a Khatri-Rao lift) has fewer Gram entries than entries, so its Gram
+    # blocks are scaled by the norms; a wide A is cheaper to normalize column by column.
+    tall = L > N
+    An = A if tall else A / norms
     best = -1.0
     pair = (0, 1)
     for i0 in range(0, N, GRAM_BLOCK):
@@ -60,6 +63,9 @@ def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
         for j0 in range(i0, N, GRAM_BLOCK):
             Bj = An[:, j0 : j0 + GRAM_BLOCK]
             G = np.abs(Bi.conj().T @ Bj)
+            if tall:
+                G /= norms[i0 : i0 + GRAM_BLOCK, None]
+                G /= norms[j0 : j0 + GRAM_BLOCK]
             if i0 == j0:  # each pair once, as (i, j) with i < j
                 G[np.tri(len(G), dtype=bool)] = -1.0
             k = int(np.argmax(G))

@@ -95,9 +95,10 @@ def verify_masks(masks, n_devices: int, rng) -> tuple[CoherenceReport, list[str]
         failures.append(
             f"lifted coherence {mu_lift} differs from mu^2 = {mu_sub**2}")
 
-    for b in rng.choice(masks.B, size=min(10, masks.B), replace=False):
-        blk = mask_block(masks, int(b))
-        err = np.abs(blk.conj().T @ blk - np.eye(masks.L)).max()
+    picks = rng.choice(masks.B, size=min(10, masks.B), replace=False)
+    blks = mask_block(masks, picks)
+    errs = np.abs(blks.conj().mT @ blks - np.eye(masks.L)).max(axis=(1, 2))
+    for b, err in zip(picks, errs):
         if err > 1e-10:
             failures.append(f"block {b} orthonormality error {err}")
     return report, failures

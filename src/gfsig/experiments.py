@@ -28,15 +28,16 @@ from .simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL, PURPOSE_DETECTOR,
                         PURPOSE_GEN, PURPOSE_NOISE, draw_activity,
                         draw_channel, synthesize, trial_rng)
 
-# detector -> {config key it reads: valid interval, high end open, low end closed
-# for "[" and open for "("}
+# detector -> {config key it reads: valid interval, each end closed for "[" or "]" and
+# open for "(" or ")"}
 DETECTORS = {
     "cdml": {"sweeps": "[1, inf)", "xi_th": "(0, inf)", "sigma_w2": "(0, inf)"},
     "mmvamp": {"max_iters": "[1, inf)", "damping": "[0, 1)", "xi_th": "(0, inf)",
                "sigma_w2": "[0, inf)"},
 }
 # config key -> interval, as in DETECTORS, for every config and each grid entry; gen_trials
-# is read by the random families only and is at its default elsewhere; base_seed keys trial_rng
+# is read by the random families only and is at its default elsewhere; base_seed keys trial_rng;
+# each K lies in [0, N_d], an interval validate_config builds per config
 RANGES = {"N_d": "[1, inf)", "Q": "[1, inf)", "M": "[1, inf)", "trials": "[1, inf)",
           "gen_trials": "[1, inf)", "base_seed": "[0, 4294967296)"}
 WORKERS_ENV = "GFSIG_WORKERS"
@@ -91,9 +92,10 @@ def _reads(cfg: ExperimentConfig, key: str) -> bool:
 
 
 def _within(value, interval: str) -> bool:
-    """Whether `value` lies in an interval of DETECTORS or RANGES."""
+    """Whether `value` lies in an interval of DETECTORS or RANGES, or K's [0, N_d]."""
     low, high = (float(end) for end in interval[1:-1].split(","))
-    return (low <= value if interval[0] == "[" else low < value) and value < high
+    return ((low <= value if interval[0] == "[" else low < value)
+            and (value <= high if interval[-1] == "]" else value < high))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -172,13 +174,12 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         grid = getattr(cfg, _FIELDS[key].name)
         if not grid or len(set(grid)) < len(grid):
             raise ValueError(f"{where[key]}{key} grid {list(grid)} is empty or repeats a value")
-    for key, interval in {**RANGES, **DETECTORS[cfg.detector]}.items():
+    ranges = {**RANGES, "K": f"[0, {cfg.n_devices}]", **DETECTORS[cfg.detector]}
+    for key, interval in ranges.items():
         value = getattr(cfg, _FIELDS[key].name)
         for v in value if isinstance(value, tuple) else (value,):
             if not _within(v, interval):
                 raise ValueError(f"{where[key]}{key} = {v} must lie in {interval}")
-    if any(k < 0 or k > cfg.n_devices for k in cfg.k_grid):
-        raise ValueError("every K must lie in [0, N_d]")
 
 
 def build_masks(family: str, L: int | None = None, p: int | None = None,

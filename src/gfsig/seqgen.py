@@ -306,9 +306,10 @@ def gen_trace_masks(p: int, m: int, poly=None) -> MaskingSet:
     return MaskingSet("trace", trace_bases(t1, p), p, t1, params)  # mask l1 L + l2: base l1 at k + l2
 
 
-def mask_block(masks: MaskingSet, b: int) -> np.ndarray:
-    """The L x L signature block diag(v_b) F_L for mask index b (0-based)."""
-    return masked_dft_columns(masks.masks, b * masks.L + np.arange(masks.L))
+def mask_block(masks: MaskingSet, b) -> np.ndarray:
+    """The L x L signature block diag(v_b) F_L for mask index b (0-based), or the stack of
+    blocks for an array of indices: entry (k, l) is v_b[k] F_L[k, l], as in masked_dft_columns."""
+    return masks.masks[b][..., :, None] * dft_matrix(masks.L)
 
 
 def build_signature_matrix(masks: MaskingSet, n_devices: int, q_per_device: int) -> SignatureMatrix:

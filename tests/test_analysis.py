@@ -65,6 +65,47 @@ def test_gram_scan_pair_is_ordered(masks, n):
     assert abs(abs(np.vdot(A[:, i], A[:, j])) - mu) < 1e-12
 
 
+def reference_gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The blocked Gram scan over a normalized copy of A, GRAM_BLOCK columns at a time."""
+    norms = np.linalg.norm(A, axis=0)
+    if np.any(norms < 1e-300):
+        raise ValueError("matrix has a zero column")
+    An = A / norms
+    N = An.shape[1]
+    best, pair = -1.0, (0, 1)
+    for i0 in range(0, N, analysis.GRAM_BLOCK):
+        Bi = An[:, i0 : i0 + analysis.GRAM_BLOCK]
+        for j0 in range(i0, N, analysis.GRAM_BLOCK):
+            G = np.abs(Bi.conj().T @ An[:, j0 : j0 + analysis.GRAM_BLOCK])
+            if i0 == j0:
+                G[np.tri(len(G), dtype=bool)] = -1.0
+            r, c = divmod(int(np.argmax(G)), G.shape[1])
+            if G[r, c] > best:
+                best, pair = float(G[r, c]), (i0 + r, j0 + c)
+    return best, pair
+
+
+@pytest.mark.parametrize("shape,block", [((40, 12), None), ((30, 20), 7), ((12, 12), None),
+                                         ((12, 12), 5), ((6, 2100), None), ((529, 48), None)],
+                         ids=["tall", "tall-multi-block", "square", "square-multi-block",
+                              "wide-multi-block", "lift-shape"])
+def test_gram_scan_matches_the_normalized_copy(shape, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(analysis, "GRAM_BLOCK", block)
+    rng = np.random.default_rng(shape[0] * shape[1])
+    A = rand_complex(rng, shape) * rng.uniform(0.01, 100.0, shape[1])  # unequal column norms
+    if shape[1] > analysis.GRAM_BLOCK:  # the maximum pairs the first and last blocks
+        A[:, -1] = 1e3 * (A[:, 3] + 0.1 * rand_complex(rng, shape[0]) * np.linalg.norm(A[:, 3]))
+    mu, (i, j) = analysis._gram_coherence(A)
+    assert abs(mu - reference_gram_coherence(A)[0]) < 1e-12
+    assert 0 <= i < j < shape[1]
+    cos = abs(np.vdot(A[:, i], A[:, j])) / (np.linalg.norm(A[:, i]) * np.linalg.norm(A[:, j]))
+    assert abs(cos - mu) < 1e-12
+    A[:, j] = 0
+    with pytest.raises(ValueError, match="zero column"):
+        analysis._gram_coherence(A)
+
+
 # --- coherence from the masks -------------------------------------------------
 
 def reference_masked_dft_coherence(V: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -457,6 +498,30 @@ def test_verify_masks_matches_the_full_matrix(family, kwargs, monkeypatch):
         i, j = report.argmax_pair
         assert 0 <= i < j < S.shape[1], n
         assert abs(abs(np.vdot(S[:, i], S[:, j])) - report.mu) < 1e-12, n
+
+
+def test_verify_masks_names_a_block_that_is_not_orthonormal():
+    masks = build_masks("cubic", L=7)
+    n = masks.B * masks.L
+    assert cli.verify_masks(masks, n, np.random.default_rng(5))[1] == []
+    rng = np.random.default_rng(5)  # the draws of verify_masks: 48 columns, then 10 blocks
+    rng.choice(n, size=48, replace=False)
+    b = int(rng.choice(masks.B, size=10, replace=False)[3])
+    bad = masks.masks.copy()
+    bad[b, 2] *= 1.5  # |v_b[2]| != 1
+    object.__setattr__(masks, "masks", bad)
+    failures = cli.verify_masks(masks, n, np.random.default_rng(5))[1]
+    ortho = [f for f in failures if "orthonormality" in f]
+    assert len(ortho) == 1 and ortho[0].startswith(f"block {b} orthonormality error "), failures
+    assert float(ortho[0].rsplit(" ", 1)[1]) > 0.1
+
+
+def test_verify_masks_catches_a_wrong_lift(monkeypatch):
+    masks = build_masks("pr", L=11, H=10)
+    monkeypatch.setattr(cli, "khatri_rao_lift", lambda sub: khatri_rao_lift(sub).real)
+    failures = cli.verify_masks(masks, masks.B * masks.L, np.random.default_rng(0))[1]
+    assert len(failures) == 1 and failures[0].startswith("lifted coherence "), failures
+    assert " differs from mu^2 = " in failures[0]
 
 
 @pytest.mark.parametrize("family,kwargs", [("cubic", {"L": 101}), ("pr", {"L": 101, "H": 100}),

@@ -55,7 +55,8 @@ def test_config_parsing_features():
      r"^line 4: Q = 0 must lie in \[1, inf\)$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4, 0\ntrials = 2",
      r"^line 6: M = 0 must lie in \[1, inf\)$"),
-    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 11\nM = 4\ntrials = 2", "K"),
+    ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2, 11\nM = 4\ntrials = 2",
+     r"^line 5: K = 11 must lie in \[0, 10\]$"),
     ("family = cubic\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2", "needs L"),
     ("family = sidelnikov\nL = 8\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2", "needs p"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\nfoo = 1", "unknown"),

@@ -11,7 +11,7 @@ from gfsig.galois import build_ext_field, primitive_polynomials
 from gfsig.seqgen import (MaskingSet, build_signature_matrix, dft_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_random_family,
                           gen_sidelnikov_masks, gen_trace_masks, mask_block,
-                          sidelnikov_seed, signature_from_csv,
+                          masked_dft_columns, sidelnikov_seed, signature_from_csv,
                           signature_to_csv, trace_seed)
 
 # published seed rows for (pr L=23 H=22), (sidelnikov L=24 H=24), (trace L=24 p=5)
@@ -180,6 +180,18 @@ def test_all_ones_mask_block_is_dft():
     masks = gen_cubic_masks(5)
     blk = mask_block(masks, 4)  # the all-ones mask
     assert np.allclose(blk, dft_matrix(5))
+
+
+@pytest.mark.parametrize("masks", [gen_cubic_masks(7), gen_pr_masks(11, 10), gen_pr_masks(13, 4),
+                                   gen_sidelnikov_masks(3, 2), gen_trace_masks(3, 2)],
+                         ids=["cubic-7", "pr-11-10", "pr-13-4", "sidelnikov-3-2", "trace-3-2"])
+def test_mask_block_stack_is_the_column_rule(masks):
+    L, B = masks.L, masks.B
+    stack = mask_block(masks, np.arange(B))
+    assert stack.shape == (B, L, L)
+    for b in range(B):
+        cols = masked_dft_columns(masks.masks, b * L + np.arange(L))
+        assert stack[b].tobytes() == cols.tobytes() == mask_block(masks, b).tobytes(), b
 
 
 def test_block_orthonormality_sampled():
