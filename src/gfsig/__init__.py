@@ -6,11 +6,10 @@ fit / message-passing detectors, with a CLI driver (`gfsig`).
 """
 
 from .analysis import (CoherenceReport, MlCondition, SignRatioReport,
-                       SparkResult, bound_failures, coherence,
-                       coherence_report, family_coherence_bound,
-                       khatri_rao_lift, ml_coherence_condition,
-                       null_space_sign_ratio, small_regime, spark_bruteforce,
-                       welch_bound)
+                       bound_failures, coherence, coherence_report,
+                       family_coherence_bound, khatri_rao_lift,
+                       ml_coherence_condition, null_space_sign_ratio,
+                       small_regime, welch_bound)
 from .detectors import (AmpEstimate, DetectionErrors, DetectionResult,
                         MLEstimate, amp_decide, cdml_decide, cdml_estimate,
                         covariance_objective, error_metric, mmv_amp_estimate)
@@ -23,8 +22,8 @@ from .galois import (ExtField, PrimeField, build_ext_field, find_primitive_root,
 from .seqgen import (MaskingSet, SignatureMatrix, build_signature_matrix,
                      dft_matrix, gen_cubic_masks, gen_pr_masks,
                      gen_random_family, gen_sidelnikov_masks, gen_trace_masks,
-                     mask_block, pr_seed, sidelnikov_seed, signature_from_csv,
-                     signature_to_csv, trace_seed)
+                     mask_block, pr_seed, sidelnikov_seed, signature_to_csv,
+                     trace_seed)
 from .simulator import (ActivityPattern, complex_normal, draw_activity,
                         draw_channel, synthesize, trial_rng)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -217,38 +216,6 @@ def null_space_sign_ratio(
     X = basis @ G
     ratios = [negative_fraction(X[:, j], nonzero_tol) for j in range(num_samples)]
     return SignRatioReport(float(np.mean(ratios)), d, num_samples)
-
-
-@dataclass(frozen=True)
-class SparkResult:
-    value: int
-    exact: bool  # False means spark > value - 1 was certified, not attained
-
-
-def spark_bruteforce(A, k_max: int, sv_rel_tol: float = 1e-9) -> SparkResult:
-    """Exhaustive spark search over column subsets of size <= k_max.
-
-    Desk scale only: N <= 24 and k_max <= 8. Returns the exact spark when a
-    dependent subset exists within the cap, otherwise the certified lower
-    bound k_max + 1.
-    """
-    M = as_matrix(A)
-    L, N = M.shape
-    if N > 24:
-        raise ValueError(f"N = {N} exceeds the brute-force cap of 24 columns")
-    if not 1 <= k_max <= 8:
-        raise ValueError("k_max must be in [1, 8]")
-    norms = np.linalg.norm(M, axis=0)
-    if np.any(norms < sv_rel_tol * norms.max()):
-        return SparkResult(1, True)
-    for k in range(2, min(k_max, N) + 1):
-        if k > L:
-            return SparkResult(k, True)  # more columns than rows
-        for cols in combinations(range(N), k):
-            sv = np.linalg.svd(M[:, cols], compute_uv=False)
-            if sv[-1] < sv_rel_tol * sv[0]:
-                return SparkResult(k, True)
-    return SparkResult(k_max + 1, False)
 
 
 @dataclass(frozen=True)

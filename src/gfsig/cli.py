@@ -17,8 +17,9 @@ from .analysis import (DETERMINISTIC_FAMILIES, CoherenceReport,
                        small_regime_columns, welch_bound)
 from .experiments import (build_masks, load_config, run_experiment,
                           workers_from_env, write_results)
-from .seqgen import (FAMILIES, RANDOM_FAMILIES, build_signature_matrix, check_keys,
-                     gen_random_family, mask_block, masked_dft_columns, signature_to_csv)
+from .seqgen import (FAMILIES, GEN_TRIALS, RANDOM_FAMILIES, build_signature_matrix,
+                     check_keys, gen_random_family, mask_block, masked_dft_columns,
+                     signature_to_csv)
 from .simulator import PURPOSE_GEN, trial_rng
 
 # (family, kwargs) instances used by `verify`; the quick grid trades size
@@ -147,14 +148,14 @@ def cmd_simulate(args) -> int:
 
 
 def _build_any_signatures(args):
-    n = args.Nd * args.Q
-    if args.family in RANDOM_FAMILIES:  # build_masks checks the deterministic flags
-        fam = FAMILIES[args.family]
-        check_keys("family", args.family, fam.needs, fam.needs + fam.takes, dict.fromkeys(
-            key for key in ("L", "p", "m", "H") if getattr(args, key) is not None))
+    fam = FAMILIES[args.family]
+    check_keys("family", args.family, fam.needs, fam.needs + fam.takes, dict.fromkeys(
+        key for key in ("L", "p", "m", "H", "gen_trials") if getattr(args, key) is not None))
+    if args.family in RANDOM_FAMILIES:
         rng = trial_rng(args.seed, PURPOSE_GEN)
-        return gen_random_family(args.family, args.L, n, trials=args.gen_trials,
-                                 rng=rng, q_per_device=args.Q)
+        return gen_random_family(args.family, args.L, args.Nd * args.Q,
+                                 trials=args.gen_trials or GEN_TRIALS, rng=rng,
+                                 q_per_device=args.Q)
     masks = build_masks(args.family, L=args.L, p=args.p, m=args.m, H=args.H)
     return build_signature_matrix(masks, args.Nd, args.Q)
 
@@ -219,13 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, default=1)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gen-trials", dest="gen_trials", type=int, default=10)
+    p.add_argument("--gen-trials", dest="gen_trials", type=int,
+                   help=f"best-of draws of a random family (default {GEN_TRIALS})")
     p.set_defaults(func=cmd_a1)
 
     p = sub.add_parser("bench", help="coherence of best-of-trials random families")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=GEN_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kinds", default=",".join(RANDOM_FAMILIES))
     p.set_defaults(func=cmd_bench)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .detectors import (DAMPING, MAX_ITERS, SWEEPS, XI_TH, amp_decide, cdml_decide,
                         cdml_estimate, error_metric, mmv_amp_estimate)
-from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, MaskingSet,
+from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, GEN_TRIALS, MaskingSet,
                      SignatureMatrix, build_signature_matrix, check_keys,
                      gen_cubic_masks, gen_pr_masks, gen_random_family,
                      gen_sidelnikov_masks, gen_trace_masks)
@@ -64,7 +64,7 @@ class ExperimentConfig:
     xi_th: float = XI_TH
     max_iters: int = MAX_ITERS
     damping: float = DAMPING
-    gen_trials: int = 10
+    gen_trials: int = GEN_TRIALS
     trials: int
     base_seed: int = 0
     output: str = "results.csv"

@@ -108,10 +108,12 @@ def primitive_polynomials(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> list[tu
 
 
 class ExtField:
-    """GF(p^m) defined by a monic primitive polynomial over GF(p).
+    """GF(p^m) defined by a monic primitive polynomial over GF(p), held as its tables.
 
-    When no polynomial is given, the lexicographically smallest primitive
-    polynomial (coefficients compared high degree first) is located by
+    exp_table[k] is the code of alpha**k, log_table[x] its inverse (log(0) = 0) and
+    trace_table[x] the absolute trace Tr(x) in [0, p); field arithmetic on codes is
+    a gather from them. When no polynomial is given, the lexicographically smallest
+    primitive polynomial (coefficients compared high degree first) is located by
     exhaustive search. For m = 1 the defining polynomial is x - alpha with
     alpha = find_primitive_root(p), so the field is PrimeField(p).
     """
@@ -158,66 +160,10 @@ class ExtField:
         table[self.exp_table] = acc[:, 0]
         return table
 
-    # --- element handling -------------------------------------------------
-
-    def encode(self, x) -> int:
-        if isinstance(x, (int, np.integer)):
-            code = int(x)
-            if not 0 <= code < self.q:
-                raise ValueError(f"code {code} outside [0, {self.q})")
-            return code
-        coeffs = [int(c) for c in x]
-        if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c} outside [0, {self.p})")
-        return sum(c * self.p**i for i, c in enumerate(coeffs))
-
-    def coeffs(self, x) -> tuple[int, ...]:
-        code = self.encode(x)
-        return tuple(code // self.p**i % self.p for i in range(self.m))
-
-    # --- arithmetic on codes ----------------------------------------------
-
-    def add(self, a, b) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg(self, a) -> int:
-        return self.encode([(-x) % self.p for x in self.coeffs(a)])
-
-    def mul(self, a, b) -> int:
-        a, b = self.encode(a), self.encode(b)
-        if a == 0 or b == 0:
-            return 0
-        k = (int(self.log_table[a]) + int(self.log_table[b])) % (self.q - 1)
-        return int(self.exp_table[k])
-
-    def inv(self, a) -> int:
-        a = self.encode(a)
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return int(self.exp_table[(-int(self.log_table[a])) % (self.q - 1)])
-
-    def pow(self, a, e: int) -> int:
-        a = self.encode(a)
-        if a == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 cannot be raised to a non-positive power")
-            return 0
-        return int(self.exp_table[(int(self.log_table[a]) * e) % (self.q - 1)])
-
     @property
     def alpha(self) -> int:
         """Code of the primitive element (the root of the defining polynomial)."""
         return int(self.exp_table[1])
-
-    def discrete_log(self, x) -> int:
-        return int(self.log_table[self.encode(x)])
-
-    def trace(self, x) -> int:
-        return int(self.trace_table[self.encode(x)])
 
     def __repr__(self):
         return f"ExtField(p={self.p}, m={self.m}, poly={self.poly})"

@@ -348,11 +348,14 @@ def _draw_candidate(kind: str, L: int, N: int, rng: np.random.Generator) -> np.n
     raise ValueError(f"unknown random family {kind!r}")
 
 
+GEN_TRIALS = 10  # best-of draws of a random family; ExperimentConfig's and the CLI's default too
+
+
 def gen_random_family(
     kind: str,
     L: int,
     N: int,
-    trials: int = 10,
+    trials: int = GEN_TRIALS,
     *,
     rng: np.random.Generator,
     q_per_device: int = 1,
@@ -386,20 +389,12 @@ def gen_random_family(
 
 
 def signature_to_csv(sig: SignatureMatrix, path) -> None:
-    """Write interleaved re/im values, row-major, with a metadata header line."""
+    """Write interleaved re/im values, row-major, with a metadata header line.
+
+    np.loadtxt(path, delimiter=",", comments="#").view(complex) reads the matrix back."""
     with open(path, "w") as fh:
         fh.write(f"# family={sig.family} L={sig.L} N={sig.N} N_d={sig.n_devices} "
                  f"Q={sig.q_per_device} params={sig.params!r}\n")
         for row in np.ascontiguousarray(sig.entries).view(np.float64):  # re, im, re, im, ...
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-
-def signature_from_csv(path) -> np.ndarray:
-    """Read back the matrix written by signature_to_csv (values only)."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(np.array([float(v) for v in line.split(",")]).view(complex))
-    return np.asarray(rows)

@@ -78,20 +78,19 @@ def draw_channel(n_devices: int, n_antennas: int, q_per_device: int,
     return np.repeat(complex_normal(rng, (n_devices, n_antennas)), q_per_device, axis=0)
 
 
-def synthesize(S, activity: ActivityPattern, H: np.ndarray, sigma_w2: float,
+def synthesize(S: np.ndarray, activity: ActivityPattern, H: np.ndarray, sigma_w2: float,
                rng: np.random.Generator) -> np.ndarray:
     """Y = sqrt(L) S Gamma^(1/2) H + W, (L, M), for unit-norm signature columns.
 
     Columns are rescaled to norm sqrt(L) here, never in the stored matrix.
     """
-    A = np.asarray(getattr(S, "entries", S))
-    L, N = A.shape
+    L, N = S.shape
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be >= 0")
     if N != activity.indicators.size or H.shape[0] != N:
         raise ValueError("shape mismatch between signatures, activity, and channel")
     act = np.flatnonzero(activity.indicators)
-    Y = (np.sqrt(L) * A[:, act]) @ H[act]
+    Y = (np.sqrt(L) * S[:, act]) @ H[act]
     if sigma_w2 > 0:
         Y = Y + complex_normal(rng, (L, H.shape[1]), var=sigma_w2)
     return Y

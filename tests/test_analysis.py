@@ -9,8 +9,7 @@ from gfsig.analysis import (bound_failures, coherence, coherence_report,
                             family_coherence_bound, khatri_rao_lift,
                             ml_coherence_condition, negative_fraction,
                             null_space_sign_ratio, small_regime,
-                            small_regime_columns, spark_bruteforce,
-                            welch_bound)
+                            small_regime_columns, welch_bound)
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
 from gfsig.experiments import build_masks
 from gfsig.galois import is_prime
@@ -704,50 +703,3 @@ def test_sign_ratio_near_half_for_signature_sets():
     rep = null_space_sign_ratio(sig, num_samples=400, rng=np.random.default_rng(8))
     assert rep.null_dim > 0
     assert abs(rep.ratio - 0.5) < 0.05
-
-
-# --- spark -------------------------------------------------------------------
-
-def test_spark_identity_lower_bound():
-    res = spark_bruteforce(np.eye(5), k_max=5)
-    assert res.value == 6 and not res.exact
-
-
-def test_spark_duplicate_column():
-    A = np.eye(4)
-    A = np.hstack([A, A[:, :1]])
-    res = spark_bruteforce(A, k_max=4)
-    assert res.value == 2 and res.exact
-
-
-def test_spark_zero_column():
-    A = np.eye(4)
-    A[:, 1] = 0
-    assert spark_bruteforce(A, k_max=3).value == 1
-
-
-def test_spark_dependent_triple_with_gersgorin_bound():
-    rng = np.random.default_rng(9)
-    A = rand_complex(rng, (2, 3))  # three vectors in C^2 are dependent
-    res = spark_bruteforce(A, k_max=3)
-    assert res.exact and res.value == 3
-    mu = coherence(A)
-    assert res.value + 1e-9 >= 1 + 1 / mu
-
-
-def test_spark_of_lifted_random_columns():
-    rng = np.random.default_rng(10)
-    A = rand_complex(rng, (3, 4))
-    Sh = khatri_rao_lift(A)
-    res = spark_bruteforce(Sh, k_max=4)
-    # four lifted directions in C^9 are independent: certified lower bound
-    assert res.value == 5 and not res.exact
-    assert abs(coherence(Sh) - coherence(A) ** 2) < 1e-12
-
-
-def test_spark_caps_enforced():
-    rng = np.random.default_rng(11)
-    with pytest.raises(ValueError):
-        spark_bruteforce(rand_complex(rng, (4, 25)), k_max=4)
-    with pytest.raises(ValueError):
-        spark_bruteforce(rand_complex(rng, (4, 8)), k_max=9)

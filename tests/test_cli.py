@@ -1,9 +1,13 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from gfsig import cli
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK, main
-from gfsig.seqgen import DETERMINISTIC_FAMILIES
+from gfsig.experiments import ExperimentConfig
+from gfsig.seqgen import DETERMINISTIC_FAMILIES, GEN_TRIALS, gen_random_family
 
 PR_SEED_TEXT = "0,0,2,16,4,1,18,19,6,10,3,9,20,14,21,17,8,7,12,15,5,13,11"
 
@@ -35,8 +39,7 @@ def test_gen_capacity_and_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "capacity(Q=4)=272" in out  # floor(1089 / 4)
     assert seed_file.exists() and mat_file.exists()
-    from gfsig.seqgen import signature_from_csv
-    assert signature_from_csv(mat_file).shape == (11, 80)
+    assert np.loadtxt(mat_file, delimiter=",", comments="#").view(complex).shape == (11, 80)
 
 
 def test_gen_nd_needs_matrix_csv(capsys):
@@ -158,8 +161,10 @@ def test_a1_full_rank_notice(capsys):
     (["a1", "--family", "qpsk", "--Nd", "10"], "family 'qpsk' needs L"),
     (["a1", "--family", "qpsk", "--L", "7", "--H", "3", "--Nd", "10"], "family 'qpsk' takes no H"),
     (["a1", "--family", "pr", "--L", "7", "--m", "1", "--Nd", "10"], "family 'pr' takes no m"),
+    (["a1", "--family", "cubic", "--L", "7", "--Nd", "10", "--gen-trials", "3"],
+     "family 'cubic' takes no gen_trials"),
 ], ids=["gen-cubic-noL", "gen-sidelnikov-nom", "gen-cubic-H", "gen-cubic-H-p", "gen-trace-H",
-        "a1-qpsk-noL", "a1-qpsk-H", "a1-pr-m"])
+        "a1-qpsk-noL", "a1-qpsk-H", "a1-pr-m", "a1-cubic-gen-trials"])
 def test_family_flags_checked_against_the_family_table(capsys, argv, msg):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -183,6 +188,22 @@ def test_counts_below_one_rejected(capsys, argv, msg):
     captured = capsys.readouterr()
     assert captured.err == f"error: {msg}\n"
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_one_best_of_trials_default(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["bench", "--L", "7", "--N", "20"]).trials == GEN_TRIALS
+    assert {f.name: f.default for f in fields(ExperimentConfig)}["gen_trials"] == GEN_TRIALS
+    assert inspect.signature(gen_random_family).parameters["trials"].default == GEN_TRIALS
+    # a1 leaves --gen-trials unset, so a deterministic family can reject it, and a
+    # random family without it draws GEN_TRIALS candidates
+    argv = ["a1", "--family", "gaussian", "--L", "4", "--Nd", "40", "--samples", "50"]
+    assert parser.parse_args(argv).gen_trials is None
+    outs = []
+    for extra in ([], ["--gen-trials", str(GEN_TRIALS)]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert "sign ratio" in outs[0] and outs[0] == outs[1]
 
 
 def test_verify_grids_cover_every_family():

@@ -11,8 +11,8 @@ from gfsig.galois import build_ext_field, primitive_polynomials
 from gfsig.seqgen import (MaskingSet, build_signature_matrix, dft_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_random_family,
                           gen_sidelnikov_masks, gen_trace_masks, mask_block,
-                          masked_dft_columns, sidelnikov_seed, signature_from_csv,
-                          signature_to_csv, trace_seed)
+                          masked_dft_columns, sidelnikov_seed, signature_to_csv,
+                          trace_seed)
 
 # published seed rows for (pr L=23 H=22), (sidelnikov L=24 H=24), (trace L=24 p=5)
 PR_SEED = [0, 0, 2, 16, 4, 1, 18, 19, 6, 10, 3, 9, 20, 14, 21, 17, 8, 7, 12, 15, 5, 13, 11]
@@ -294,7 +294,7 @@ def test_signature_csv_round_trip(tmp_path):
     sig = build_signature_matrix(gen_cubic_masks(5), 20, 2)
     path = tmp_path / "sig.csv"
     signature_to_csv(sig, path)
-    back = signature_from_csv(path)
+    back = np.loadtxt(path, delimiter=",", comments="#").view(complex)
     assert np.array_equal(back, sig.entries)
     header = path.read_text().splitlines()[0]
     assert "family=cubic" in header and "L=5" in header and "N=40" in header

@@ -82,7 +82,7 @@ def test_synthesize_zero_cases():
     sig = build_signature_matrix(gen_cubic_masks(7), 30, 2)
     act = draw_activity(30, 0, 2, np.random.default_rng(4))
     H = draw_channel(30, 5, 2, rng=np.random.default_rng(5))
-    Y = synthesize(sig, act, H, 0.0, np.random.default_rng(6))
+    Y = synthesize(sig.entries, act, H, 0.0, np.random.default_rng(6))
     assert np.all(Y == 0)
     assert Y.shape == (7, 5)
 
@@ -91,7 +91,7 @@ def test_synthesize_single_device_rank_one():
     sig = build_signature_matrix(gen_cubic_masks(7), 30, 2)
     act = draw_activity(30, 1, 2, np.random.default_rng(7))
     H = draw_channel(30, 1, 2, rng=np.random.default_rng(8))
-    Y = synthesize(sig, act, H, 0.0, np.random.default_rng(9))
+    Y = synthesize(sig.entries, act, H, 0.0, np.random.default_rng(9))
     n = act.active_set[0]
     q = int(np.argmax(act.indicators[n]))
     col = 2 * n + q
@@ -108,7 +108,7 @@ def test_noise_only_energy():
     total = 0.0
     trials = 1000
     for t in range(trials):
-        Y = synthesize(sig, act, H, s2, trial_rng(5, t, PURPOSE_NOISE))
+        Y = synthesize(sig.entries, act, H, s2, trial_rng(5, t, PURPOSE_NOISE))
         total += np.linalg.norm(Y) ** 2
     assert abs(total / trials - s2 * L * M) / (s2 * L * M) < 0.05
 
@@ -122,7 +122,7 @@ def test_signal_energy_identity():
     for t in range(trials):
         act = draw_activity(20, K, 2, trial_rng(6, t, PURPOSE_ACTIVITY))
         H = draw_channel(20, M, 2, rng=trial_rng(6, t, PURPOSE_CHANNEL))
-        Y = synthesize(sig, act, H, 0.0, trial_rng(6, t, PURPOSE_NOISE))
+        Y = synthesize(sig.entries, act, H, 0.0, trial_rng(6, t, PURPOSE_NOISE))
         total += np.linalg.norm(Y) ** 2
     expected = K * L * M
     assert abs(total / trials - expected) / expected < 0.05
@@ -134,7 +134,7 @@ def test_synthesize_deterministic():
     for _ in range(2):
         act = draw_activity(20, 5, 2, trial_rng(9, 0, PURPOSE_ACTIVITY))
         H = draw_channel(20, 3, 2, rng=trial_rng(9, 0, PURPOSE_CHANNEL))
-        Y = synthesize(sig, act, H, 0.1, trial_rng(9, 0, PURPOSE_NOISE))
+        Y = synthesize(sig.entries, act, H, 0.1, trial_rng(9, 0, PURPOSE_NOISE))
         out.append(Y)
     assert np.array_equal(out[0], out[1])
 
@@ -144,12 +144,12 @@ def test_synthesize_shape_mismatch():
     act = draw_activity(19, 5, 2, np.random.default_rng(12))
     H = draw_channel(19, 3, 2, rng=np.random.default_rng(13))
     with pytest.raises(ValueError):
-        synthesize(sig, act, H, 0.1, np.random.default_rng(14))
+        synthesize(sig.entries, act, H, 0.1, np.random.default_rng(14))
 
 
 def test_synthesize_all_active_scaling():
     sig = build_signature_matrix(gen_cubic_masks(7), 4, 1)
     act = draw_activity(4, 4, 1, np.random.default_rng(15))
     H = draw_channel(4, 2, 1, rng=np.random.default_rng(16))
-    Y = synthesize(sig, act, H, 0.0, np.random.default_rng(17))
+    Y = synthesize(sig.entries, act, H, 0.0, np.random.default_rng(17))
     assert np.allclose(Y, np.sqrt(7) * sig.entries @ H)
