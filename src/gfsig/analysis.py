@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import DETERMINISTIC_FAMILIES, FAMILIES, dft_matrix
+from .seqgen import FAMILIES, dft_matrix
 
 GRAM_BLOCK = 2048  # columns per block of the Gram scan, so memory stays bounded at large N
+BOUND_TOL = 1e-9  # slack of bound_failures' checks; keep it tight: pr L=47 sits 2.8e-4 under
+SIGN_TOL = 1e-8  # the sign ratio counts an entry with |x_i| > SIGN_TOL max|x| as nonzero
+RANK_TOL = 1e-10  # a lifted matrix's singular value above RANK_TOL times the largest counts
 
 
 def as_matrix(S) -> np.ndarray:
@@ -75,7 +78,7 @@ def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, pair
 
 
-def _masked_dft_coherence(V: np.ndarray, bases, partners=None) -> tuple[float, tuple[int, int]]:
+def _masked_dft_coherence(V: np.ndarray, bases, partners) -> tuple[float, tuple[int, int]]:
     """Coherence of [diag(v_0) F_L, ..., diag(v_{n-1}) F_L], n >= 2, from its mask rows V.
 
     Column l of block c meets column l' of block b in DFT(conj(v_c) v_b)[l' - l] / L.
@@ -83,15 +86,14 @@ def _masked_dft_coherence(V: np.ndarray, bases, partners=None) -> tuple[float, t
     With v_b base c_b shifted by s_b, blocks b, b' with s_b <= s_b' have the |DFT|s
     of base c_b and base c_b' shifted by s_b' - s_b, a block of any prefix that
     holds b'. So each unshifted block in `bases` needs one row of |DFT|s against the
-    blocks its row of `partners` marks (None: every other block); MaskingSet.bases and
-    .partners keep fewer. The rows are V times diag(conj(v_c)) F_L, which beats np.fft.fft
-    at prime L <= 47 and scales the L x L F_L rather than the rows."""
+    blocks its row of `partners` marks (at most every other block: a block's own columns
+    are orthonormal); MaskingSet.bases and .partners keep fewer. The rows are V times
+    diag(conj(v_c)) F_L, which beats np.fft.fft at prime L <= 47 and scales the L x L F_L
+    rather than the rows."""
     L = V.shape[1]
     F = dft_matrix(L)
     best = -1.0
     pair = (0, L)
-    if partners is None:  # every block but its own, whose columns are orthonormal
-        partners = np.not_equal.outer(bases, np.arange(len(V)))
     for c, blocks in zip(bases, partners):
         if not blocks.any():
             continue
@@ -126,26 +128,6 @@ def khatri_rao_lift(S) -> np.ndarray:
     return (A.conj()[:, None, :] * A[None, :, :]).reshape(L * L, N)
 
 
-def small_regime_columns(family: str, L: int, H: int | None) -> int:
-    """Number of columns in the first lambda_1 = 0 mask blocks of a family."""
-    if family not in DETERMINISTIC_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if H is None and "H" in FAMILIES[family].takes:
-        raise ValueError(f"family {family!r} needs H")
-    return FAMILIES[family].small_columns(L, H)
-
-
-def small_regime(family: str, L: int, H: int | None, n_devices: int, q_per_device: int) -> bool:
-    """Whether N = N_d Q stays within the first lambda_1 = 0 mask blocks."""
-    return n_devices * q_per_device <= small_regime_columns(family, L, H)
-
-
-def family_coherence_bound(family: str, L: int, H: int | None, n_devices: int, q_per_device: int) -> float:
-    """Published two-regime coherence upper bound for a deterministic family."""
-    small = small_regime(family, L, H, n_devices, q_per_device)
-    return FAMILIES[family].bound(L, small)
-
-
 @dataclass(frozen=True)
 class MlCondition:
     """Outcome of the coherence test for reliable activity estimation."""
@@ -170,10 +152,10 @@ def ml_coherence_condition(mu: float, K: int, delta: int) -> MlCondition:
     return MlCondition(mu < threshold, threshold, 1.0 - 2.0 ** (-delta))
 
 
-def negative_fraction(x: np.ndarray, nonzero_tol: float = 1e-8) -> float:
-    """Fraction of negative entries among entries with |x_i| > tol * max|x|."""
+def negative_fraction(x: np.ndarray) -> float:
+    """Fraction of negative entries among entries with |x_i| > SIGN_TOL * max|x|."""
     ax = np.abs(x)
-    mask = ax > nonzero_tol * ax.max()
+    mask = ax > SIGN_TOL * ax.max()
     return float(np.count_nonzero(x[mask] < 0) / np.count_nonzero(mask))
 
 
@@ -188,14 +170,8 @@ class SignRatioReport:
         return self.null_dim == 0
 
 
-def null_space_sign_ratio(
-    S,
-    num_samples: int = 1000,
-    nonzero_tol: float = 1e-8,
-    *,
-    rng: np.random.Generator,
-    sv_rel_tol: float = 1e-10,
-) -> SignRatioReport:
+def null_space_sign_ratio(S, num_samples: int = 1000, *,
+                          rng: np.random.Generator) -> SignRatioReport:
     """Average sign balance of random real null-space vectors of the lifted matrix.
 
     Builds an orthonormal basis of {x in R^N : lift(S) x = 0} from the stacked
@@ -207,14 +183,14 @@ def null_space_sign_ratio(
     R = np.vstack([Sh.real, Sh.imag])
     rows, N = R.shape
     _, sv, vt = np.linalg.svd(R, full_matrices=rows < N)
-    rank = int(np.count_nonzero(sv > sv_rel_tol * sv[0])) if sv.size else 0
+    rank = int(np.count_nonzero(sv > RANK_TOL * sv[0])) if sv.size else 0
     basis = vt[rank:].T  # (N, d), orthonormal columns
     d = basis.shape[1]
     if d == 0:
         return SignRatioReport(float("nan"), 0, 0)
     G = rng.standard_normal((d, num_samples))
     X = basis @ G
-    ratios = [negative_fraction(X[:, j], nonzero_tol) for j in range(num_samples)]
+    ratios = [negative_fraction(X[:, j]) for j in range(num_samples)]
     return SignRatioReport(float(np.mean(ratios)), d, num_samples)
 
 
@@ -246,23 +222,20 @@ class CoherenceReport:
 
 
 def coherence_report(sig) -> CoherenceReport:
-    """Coherence of a SignatureMatrix next to its Welch and (deterministic) family bounds."""
+    """Coherence of a SignatureMatrix next to its Welch bound and its family's Family.regime."""
     L, N = sig.shape  # a mask-built SignatureMatrix's entries stay unbuilt
     H = sig.params.get("H")
     mu, pair = coherence(sig, with_pair=True)
-    bound = regime = None
-    if sig.family in DETERMINISTIC_FAMILIES:
-        small = small_regime(sig.family, L, H, sig.n_devices, sig.q_per_device)
-        bound, regime = FAMILIES[sig.family].bound(L, small), "small" if small else "general"
+    bound, regime = FAMILIES[sig.family].regime(L, H, N)
     return CoherenceReport(sig.family, L, H, sig.n_devices, sig.q_per_device, mu,
                            welch_bound(L, N), bound, regime, pair)
 
 
-def bound_failures(report: CoherenceReport, tol: float = 1e-9) -> list[str]:
-    """Bound violations in a report; empty list means all checks passed."""
+def bound_failures(report: CoherenceReport) -> list[str]:
+    """Bound violations, to BOUND_TOL, in a report; empty list means all checks passed."""
     out = []
-    if report.bound is not None and report.mu > report.bound + tol:
+    if report.bound is not None and report.mu > report.bound + BOUND_TOL:
         out.append(f"mu = {report.mu} exceeds the {report.regime}-regime bound {report.bound}")
-    if report.welch > report.mu + tol:
+    if report.welch > report.mu + BOUND_TOL:
         out.append(f"mu = {report.mu} is below the Welch bound {report.welch}")
     return out

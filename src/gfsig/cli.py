@@ -11,15 +11,12 @@ import sys
 
 import numpy as np
 
-from .analysis import (DETERMINISTIC_FAMILIES, CoherenceReport,
-                       bound_failures, coherence, coherence_report,
-                       khatri_rao_lift, null_space_sign_ratio,
-                       small_regime_columns, welch_bound)
-from .experiments import (build_masks, load_config, run_experiment,
-                          workers_from_env, write_results)
-from .seqgen import (FAMILIES, GEN_TRIALS, RANDOM_FAMILIES, build_signature_matrix,
-                     check_keys, gen_random_family, mask_block, masked_dft_columns,
-                     signature_to_csv)
+from .analysis import (CoherenceReport, bound_failures, coherence, coherence_report,
+                       khatri_rao_lift, null_space_sign_ratio, welch_bound)
+from .experiments import (GEN_TRIALS, build_masks, gen_random_family, load_config,
+                          run_experiment, workers_from_env, write_results)
+from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, RANDOM_FAMILIES, build_signature_matrix,
+                     check_keys, mask_block, masked_dft_columns, signature_to_csv)
 from .simulator import PURPOSE_GEN, trial_rng
 
 # (family, kwargs) instances used by `verify`; the quick grid trades size
@@ -115,7 +112,7 @@ def cmd_verify(args) -> int:
     for family, kwargs in grid:
         masks = build_masks(family, **kwargs)
         L, B = masks.L, masks.B
-        small_n = small_regime_columns(family, L, masks.params.get("H"))
+        small_n = FAMILIES[family].small_columns(L, masks.params.get("H"))
         for n_cols in (min(small_n, B * L), B * L):
             report, failures = verify_masks(masks, n_cols, rng)
             rows.append(report.csv_row())

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SWEEPS, XI_TH, MAX_ITERS, DAMPING = 15, 0.25, 50, 0.3  # ExperimentConfig's defaults too
+AMP_TOL = 1e-6  # relative change of the residual norm that stops MMV-AMP
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def _decide(stat: np.ndarray, xi_th: float) -> DetectionResult:
 
 def cdml_decide(gamma_hat: np.ndarray, n_devices: int, q_per_device: int,
                 xi_th: float = XI_TH) -> DetectionResult:
-    """Per device: active with symbol argmax_q gamma iff max_q gamma >= xi_th."""
+    """Per device: active with symbol q = argmax gamma_q iff that gamma_q >= xi_th."""
     gamma_hat = np.asarray(gamma_hat)
     if gamma_hat.size != n_devices * q_per_device:
         raise ValueError("gamma_hat length must be n_devices * q_per_device")
@@ -191,7 +192,7 @@ def cdml_decide(gamma_hat: np.ndarray, n_devices: int, q_per_device: int,
 
 def amp_decide(X_hat: np.ndarray, n_devices: int, q_per_device: int,
                xi_th: float = XI_TH) -> DetectionResult:
-    """Per device: active iff max_q ||x_n^(q)||^2 / M >= xi_th."""
+    """Per device: active iff its largest ||x_n^(q)||^2 / M over q is >= xi_th."""
     X_hat = np.asarray(X_hat)
     if X_hat.shape[0] != n_devices * q_per_device:
         raise ValueError("X_hat must have n_devices * q_per_device rows")
@@ -205,7 +206,7 @@ def _expit(t: np.ndarray) -> np.ndarray:
 
 
 def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, *,
-                     max_iters: int = MAX_ITERS, damping: float = DAMPING, tol: float = 1e-6,
+                     max_iters: int = MAX_ITERS, damping: float = DAMPING,
                      x_init: np.ndarray | None = None) -> AmpEstimate:
     """AMP recovery of the row-sparse channel matrix from Y = S X + W.
 
@@ -231,7 +232,7 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, 
         b_m = (sum_n c_n pi_n + sum_n c_n pi_n u_n (1 - pi_n) |Z_nm|^2) / L,
     so it costs one matvec against |Z|^2, which the denoiser also uses.
 
-    Stops on max_iters or when the residual norm changes by less than `tol`
+    Stops on max_iters or when the residual norm changes by less than AMP_TOL
     relatively. A residual exceeding 1e6 x ||Y||_F marks the run as diverged
     (flagged on the estimate, not raised).
     """
@@ -298,7 +299,7 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, 
         if not np.isfinite(res) or res > 1e6 * ref:
             diverged = True
             break
-        if prev is not None and abs(res - prev) < tol * max(prev, 1e-300):
+        if prev is not None and abs(res - prev) < AMP_TOL * max(prev, 1e-300):
             break
         prev = res
     return AmpEstimate(X / norms[:, None], it, np.asarray(res_trace), diverged)

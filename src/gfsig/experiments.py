@@ -18,11 +18,11 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .analysis import coherence
 from .detectors import (DAMPING, MAX_ITERS, SWEEPS, XI_TH, amp_decide, cdml_decide,
                         cdml_estimate, error_metric, mmv_amp_estimate)
-from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, GEN_TRIALS, MaskingSet,
-                     SignatureMatrix, build_signature_matrix, check_keys,
-                     gen_cubic_masks, gen_pr_masks, gen_random_family,
+from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, MaskingSet, SignatureMatrix,
+                     build_signature_matrix, check_keys, gen_cubic_masks, gen_pr_masks,
                      gen_sidelnikov_masks, gen_trace_masks)
 from .simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL, PURPOSE_DETECTOR,
                         PURPOSE_GEN, PURPOSE_NOISE, draw_activity,
@@ -37,10 +37,12 @@ DETECTORS = {
 }
 # config key -> interval, as in DETECTORS, for every config and each grid entry; gen_trials
 # is read by the random families only and is at its default elsewhere; base_seed keys trial_rng;
-# each K lies in [0, N_d], an interval validate_config builds per config
+# each K lies in [0, N_d], and below N_d Q under MMV-AMP, whose activity prior K / (N_d Q)
+# must stay below 1: an interval validate_config builds per config
 RANGES = {"N_d": "[1, inf)", "Q": "[1, inf)", "M": "[1, inf)", "trials": "[1, inf)",
           "gen_trials": "[1, inf)", "base_seed": "[0, 4294967296)"}
 WORKERS_ENV = "GFSIG_WORKERS"
+GEN_TRIALS = 10  # best-of draws of a random family; ExperimentConfig's and the CLI's default too
 
 CSV_HEADER = "family,L,H,N_d,Q,K,M,detector,trials,p_e,p_e_stderr,seconds"
 
@@ -92,7 +94,7 @@ def _reads(cfg: ExperimentConfig, key: str) -> bool:
 
 
 def _within(value, interval: str) -> bool:
-    """Whether `value` lies in an interval of DETECTORS or RANGES, or K's [0, N_d]."""
+    """Whether `value` lies in an interval of DETECTORS or RANGES, or K's."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     return ((low <= value if interval[0] == "[" else low < value)
             and (value <= high if interval[-1] == "]" else value < high))
@@ -174,7 +176,9 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         grid = getattr(cfg, _FIELDS[key].name)
         if not grid or len(set(grid)) < len(grid):
             raise ValueError(f"{where[key]}{key} grid {list(grid)} is empty or repeats a value")
-    ranges = {**RANGES, "K": f"[0, {cfg.n_devices}]", **DETECTORS[cfg.detector]}
+    n_cols = cfg.n_devices * cfg.q_per_device
+    k_max = min(cfg.n_devices, n_cols - 1) if cfg.detector == "mmvamp" else cfg.n_devices
+    ranges = {**RANGES, "K": f"[0, {k_max}]", **DETECTORS[cfg.detector]}
     for key, interval in ranges.items():
         value = getattr(cfg, _FIELDS[key].name)
         for v in value if isinstance(value, tuple) else (value,):
@@ -192,6 +196,32 @@ def build_masks(family: str, L: int | None = None, p: int | None = None,
     check_keys("family", family, fam.needs, fam.needs + fam.takes, dict.fromkeys(given))
     # looked up per call, so a rebound gen_*_masks name (a tracer's wrapper) is called
     return globals()[f"gen_{family}_masks"](**given)
+
+
+def gen_random_family(kind: str, L: int, N: int, trials: int = GEN_TRIALS, *,
+                      rng: np.random.Generator, q_per_device: int = 1) -> SignatureMatrix:
+    """Best-of-`trials` random L x N signature matrix with unit-norm columns.
+
+    Candidates are drawn by the family's `draw` (i.i.d. per entry: complex Gaussian, the
+    9-point MUSA constellation, or QPSK), column-normalized, and the draw with the lowest
+    coherence is kept. One column has no pair to rank: the first draw is kept, coherence 0.
+    """
+    draw = FAMILIES[kind].draw if kind in FAMILIES else None
+    if draw is None:
+        raise ValueError(f"unknown random family {kind!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if N % q_per_device != 0:
+        raise ValueError("q_per_device must divide N")
+    best, best_mu = None, np.inf
+    for _ in range(trials):
+        A = draw(rng, L, N)
+        A = A / np.linalg.norm(A, axis=0)
+        mu = coherence(A) if N > 1 else 0.0
+        if mu < best_mu:
+            best, best_mu = A, mu
+    return SignatureMatrix(best, N // q_per_device, q_per_device, kind, {"L": L},
+                           {"trials": trials, "coherence": best_mu})
 
 
 def build_signatures(cfg: ExperimentConfig) -> SignatureMatrix:

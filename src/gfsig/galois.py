@@ -2,8 +2,8 @@
 
 Elements of GF(p^m) are coefficient vectors (c_0, ..., c_{m-1}) over Z_p,
 stored as integer codes sum_i c_i * p**i. Code 0 is the zero element and
-code 1 the multiplicative identity. Tables are built eagerly; the default
-size cap q <= 2**20 keeps that cheap for every field this package touches.
+code 1 the multiplicative identity. Tables are built eagerly; the size cap
+q <= MAX_Q = 2**20 keeps that cheap for every field this package touches.
 
 The discrete logarithm uses the log(0) = 0 convention throughout, so any
 character value derived from it equals 1 at the zero element.
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-DEFAULT_MAX_Q = 1 << 20
+MAX_Q = 1 << 20  # largest field order q = p**m that gets tables
 
 
 def is_prime(n: int) -> bool:
@@ -38,7 +38,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def find_primitive_root(p: int) -> int:
     """Smallest g >= 2 whose multiplicative order mod p is exactly p - 1."""
-    _check_field(p, 1, p)
+    _check_field(p, 1, cap=p)  # any odd prime: no table is built
     factors = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
@@ -76,15 +76,15 @@ def _exp_codes(p: int, m: int, poly: tuple[int, ...]) -> list[int] | None:
     return codes
 
 
-def _check_field(p: int, m: int, max_q: int) -> int:
-    """q = p**m, after rejecting an even or composite p, m < 1 and q > max_q."""
+def _check_field(p: int, m: int, cap: int = MAX_Q) -> int:
+    """q = p**m, after rejecting an even or composite p, m < 1 and q > cap."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ValueError("m must be >= 1")
     q = p**m
-    if q > max_q:
-        raise ValueError(f"q = {p}^{m} = {q} exceeds the table-size cap {max_q}")
+    if q > cap:
+        raise ValueError(f"q = {p}^{m} = {q} exceeds the table-size cap {cap}")
     return q
 
 
@@ -97,13 +97,13 @@ def _primitive_polys(p: int, m: int):
             yield poly, codes
 
 
-def primitive_polynomials(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> list[tuple[int, ...]]:
+def primitive_polynomials(p: int, m: int) -> list[tuple[int, ...]]:
     """All monic primitive polynomials of degree m over GF(p).
 
     Returned low-degree-first, ordered lexicographically by coefficients
     compared high degree first.
     """
-    _check_field(p, m, max_q)
+    _check_field(p, m)
     return [poly for poly, _ in _primitive_polys(p, m)]
 
 
@@ -118,8 +118,8 @@ class ExtField:
     alpha = find_primitive_root(p), so the field is PrimeField(p).
     """
 
-    def __init__(self, p: int, m: int, poly=None, max_q: int = DEFAULT_MAX_Q):
-        q = _check_field(p, m, max_q)
+    def __init__(self, p: int, m: int, poly=None):
+        q = _check_field(p, m)
         self.p = p
         self.m = m
         self.q = q

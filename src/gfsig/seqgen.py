@@ -6,8 +6,9 @@ Sidelnikov phases mod H), then applied entrywise to the columns of the
 L-point DFT matrix. Concatenating the B masked blocks yields N_s = B * L
 signature sequences; a device gets a contiguous group of Q columns.
 
-Random benchmark families (complex Gaussian, MUSA 9-point, QPSK) are drawn
-with a best-of-trials coherence selection.
+The family table also holds how each random benchmark family (complex
+Gaussian, MUSA 9-point, QPSK) draws its entries; experiments.gen_random_family
+keeps the best of several such draws.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis
 from .galois import ExtField, PrimeField, build_ext_field, is_prime
 
 
 @dataclass(frozen=True)
 class Family:
-    """Config keys a signature family reads and, if deterministic, its coherence bound.
+    """Config keys a signature family reads and, if deterministic, its coherence bound;
+    a random family's entry draw instead.
 
     A deterministic family's masks are built from its base masks by `shift_rule`
     (see MaskingSet): mask b is base c_b cyclically shifted by s_b,
@@ -42,10 +43,19 @@ class Family:
     shift_rule: Callable | None = None  # (L, H, blocks b) -> (base c_b, shift s_b), arrays
     chirp: bool = False  # s_b multiplies by the k^2 chirp instead of shifting
     orbits: Callable | None = None  # MaskingSet -> whether block 0 meets every block pair's orbit
+    draw: Callable | None = None  # (rng, L, N) -> L x N entries of a random family, unnormalized
 
     def bases(self, L: int, H: int | None, n: int) -> list[int]:
         """The blocks b < n with s_b = 0."""
         return np.flatnonzero(self.shift_rule(L, H, np.arange(n))[1] == 0).tolist()
+
+    def regime(self, L: int, H: int | None, N: int) -> tuple[float | None, str | None]:
+        """(published coherence bound, "small" or "general") at N columns, the small regime
+        being the lambda_1 = 0 blocks' small_columns; (None, None) for a random family."""
+        if self.bound is None:
+            return None, None
+        small = N <= self.small_columns(L, H)
+        return self.bound(L, small), "small" if small else "general"
 
 
 def trace_bases(t1: np.ndarray, p: int) -> np.ndarray:
@@ -68,6 +78,17 @@ def trace_orbits(masks: MaskingSet) -> bool:
     return np.array_equal(t[(k + m) % len(t)], lfsr) and np.array_equal(masks.base_num, trace_bases(t, p))
 
 
+MUSA_POINTS = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * (np.sqrt(3) / 2)
+
+
+def musa_draw(rng: np.random.Generator, L: int, N: int) -> np.ndarray:
+    """L x N MUSA points, redrawing all-zero columns, which cannot be normalized."""
+    A = rng.choice(MUSA_POINTS, (L, N))
+    while (dead := np.flatnonzero(np.all(A == 0, axis=0))).size:
+        A[:, dead] = rng.choice(MUSA_POINTS, (L, dead.size))
+    return A
+
+
 FAMILIES = {
     "cubic": Family(("L",), (), lambda L, H: L * L,
                     lambda L, small: 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L),
@@ -83,7 +104,11 @@ FAMILIES = {
         ("p", "m"), (), lambda L, H: L * L,
         lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L,
         lambda L, H, b: np.divmod(b, L), orbits=trace_orbits),
-    **dict.fromkeys(("gaussian", "musa", "qpsk"), Family(("L",), ("gen_trials",))),
+    "gaussian": Family(("L",), ("gen_trials",), draw=lambda rng, L, N: (
+        rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))) / np.sqrt(2)),
+    "musa": Family(("L",), ("gen_trials",), draw=musa_draw),
+    "qpsk": Family(("L",), ("gen_trials",), draw=lambda rng, L, N: (
+        rng.choice([-1.0, 1.0], (L, N)) + 1j * rng.choice([-1.0, 1.0], (L, N))) / np.sqrt(2)),
 }
 DETERMINISTIC_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is not None)
 RANDOM_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.bound is None)
@@ -249,7 +274,7 @@ def pr_seed(pf: ExtField, H: int) -> np.ndarray:
     return np.asarray(pf.log_table % H, dtype=np.int64)
 
 
-def gen_pr_masks(L: int, H: int | None = None, alpha: int | None = None) -> MaskingSet:
+def gen_pr_masks(L: int, H: int | None = None) -> MaskingSet:
     """Power-residue masks exp(2j pi l2 log(k + l1) / H), B = (H-1) L of them."""
     if not is_prime(L) or L == 2:
         raise ValueError(f"L must be an odd prime, got {L}")
@@ -257,7 +282,7 @@ def gen_pr_masks(L: int, H: int | None = None, alpha: int | None = None) -> Mask
         H = L - 1
     if H <= 2 or (L - 1) % H != 0:
         raise ValueError(f"H must exceed 2 and divide L - 1 = {L - 1}, got {H}")
-    pf = PrimeField(L, alpha=alpha)  # log(0) = 0 convention
+    pf = PrimeField(L)  # log(0) = 0 convention
     seed = pr_seed(pf, H)
     base = np.arange(1, H, dtype=np.int64)[:, None] * seed % H  # lambda_2 = 1 .. H-1
     return MaskingSet("pr", base, H, seed, {"L": L, "H": H, "alpha": pf.alpha})
@@ -272,9 +297,9 @@ def sidelnikov_seed(fld: ExtField, H: int) -> np.ndarray:
     return np.asarray(fld.log_table[one_plus] % H, dtype=np.int64)
 
 
-def gen_sidelnikov_masks(p: int, m: int, H: int | None = None, poly=None) -> MaskingSet:
+def gen_sidelnikov_masks(p: int, m: int, H: int | None = None) -> MaskingSet:
     """Sidelnikov masks exp(2j pi l2 log(1 + alpha^(k + l1)) / H), B = (H-1) L."""
-    fld = build_ext_field(p, m, poly=poly)
+    fld = build_ext_field(p, m)
     L = fld.q - 1
     if H is None:
         H = L
@@ -291,7 +316,7 @@ def trace_seed(fld: ExtField) -> np.ndarray:
     return np.asarray(fld.trace_table[fld.exp_table], dtype=np.int64)
 
 
-def gen_trace_masks(p: int, m: int, poly=None) -> MaskingSet:
+def gen_trace_masks(p: int, m: int) -> MaskingSet:
     """Trace masks exp(2j pi Tr(a^(k+l2) + theta a^(2(k+l2))) / p), B = L (L+1).
 
     theta = 0 for the first L masks and alpha^(l1 - 1) afterwards, so every
@@ -299,7 +324,7 @@ def gen_trace_masks(p: int, m: int, poly=None) -> MaskingSet:
     """
     if p == 2:
         raise ValueError("trace masks require odd characteristic")
-    fld = build_ext_field(p, m, poly=poly)
+    fld = build_ext_field(p, m)
     L = fld.q - 1
     t1 = trace_seed(fld)
     params = {"p": p, "m": m, "L": L, "poly": fld.poly}
@@ -326,66 +351,6 @@ def build_signature_matrix(masks: MaskingSet, n_devices: int, q_per_device: int)
     sig = SignatureMatrix(None, n_devices, q_per_device, masks.family, dict(masks.params))
     object.__setattr__(sig, "masks", masks)
     return sig
-
-
-def _draw_candidate(kind: str, L: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    if kind == "gaussian":
-        return (rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))) / np.sqrt(2)
-    if kind == "qpsk":
-        return (rng.choice([-1.0, 1.0], (L, N)) + 1j * rng.choice([-1.0, 1.0], (L, N))) / np.sqrt(2)
-    if kind == "musa":
-        points = np.array(
-            [0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=complex
-        ) * (np.sqrt(3) / 2)
-        A = rng.choice(points, (L, N))
-        # an all-zero column cannot be normalized; redraw such columns
-        while True:
-            dead = np.flatnonzero(np.all(A == 0, axis=0))
-            if dead.size == 0:
-                break
-            A[:, dead] = rng.choice(points, (L, dead.size))
-        return A
-    raise ValueError(f"unknown random family {kind!r}")
-
-
-GEN_TRIALS = 10  # best-of draws of a random family; ExperimentConfig's and the CLI's default too
-
-
-def gen_random_family(
-    kind: str,
-    L: int,
-    N: int,
-    trials: int = GEN_TRIALS,
-    *,
-    rng: np.random.Generator,
-    q_per_device: int = 1,
-) -> SignatureMatrix:
-    """Best-of-`trials` random L x N signature matrix with unit-norm columns.
-
-    Candidates are drawn i.i.d. per entry (complex Gaussian, the 9-point MUSA
-    constellation, or QPSK), column-normalized, and the draw with the lowest
-    coherence is kept.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if N % q_per_device != 0:
-        raise ValueError("q_per_device must divide N")
-    best = None
-    best_mu = np.inf
-    for _ in range(trials):
-        A = _draw_candidate(kind, L, N, rng)
-        A = A / np.linalg.norm(A, axis=0)
-        mu = analysis.coherence(A)
-        if mu < best_mu:
-            best, best_mu = A, mu
-    return SignatureMatrix(
-        best,
-        N // q_per_device,
-        q_per_device,
-        kind,
-        {"L": L},
-        {"trials": trials, "coherence": best_mu},
-    )
 
 
 def signature_to_csv(sig: SignatureMatrix, path) -> None:

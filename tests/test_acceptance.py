@@ -12,17 +12,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gfsig.analysis import (coherence, family_coherence_bound,
-                            khatri_rao_lift, ml_coherence_condition,
-                            null_space_sign_ratio, small_regime_columns,
-                            welch_bound)
+from gfsig.analysis import (coherence, khatri_rao_lift, ml_coherence_condition,
+                            null_space_sign_ratio, welch_bound)
 from gfsig.cli import VERIFY_GRID
 from gfsig.detectors import cdml_decide, cdml_estimate, error_metric
-from gfsig.experiments import ExperimentConfig, build_masks, draw_trial, run_trial
+from gfsig.experiments import (ExperimentConfig, build_masks, draw_trial, gen_random_family,
+                               run_trial)
 from gfsig.galois import build_ext_field, primitive_polynomials
-from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
-                          gen_pr_masks, gen_random_family,
-                          gen_sidelnikov_masks, gen_trace_masks, mask_block,
+from gfsig.seqgen import (FAMILIES, build_signature_matrix, gen_cubic_masks,
+                          gen_pr_masks, gen_sidelnikov_masks, gen_trace_masks, mask_block,
                           sidelnikov_seed, trace_seed)
 from gfsig.simulator import PURPOSE_GEN, trial_rng
 
@@ -78,11 +76,11 @@ def test_criterion_02_coherence_bounds_grid():
     failures = []
     for masks in grid:
         family, L, B, H = masks.family, masks.L, masks.B, masks.params.get("H")
-        small_n = small_regime_columns(family, L, H)
+        small_n = FAMILIES[family].small_columns(L, H)
         for n_cols in (small_n, B * L):  # both device-count regimes
             sig = build_signature_matrix(masks, n_cols, 1)
             mu = coherence(sig)
-            bound = family_coherence_bound(family, L, H, n_cols, 1)
+            bound = FAMILIES[family].regime(L, H, n_cols)[0]
             welch = welch_bound(L, n_cols)
             if not (welch - tol <= mu <= bound + tol):
                 failures.append(f"{family} L={L} N={n_cols}: mu={mu} "

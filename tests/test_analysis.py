@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from gfsig import analysis, cli, seqgen
-from gfsig.analysis import (bound_failures, coherence, coherence_report,
-                            family_coherence_bound, khatri_rao_lift,
+from gfsig.analysis import (bound_failures, coherence, coherence_report, khatri_rao_lift,
                             ml_coherence_condition, negative_fraction,
-                            null_space_sign_ratio, small_regime,
-                            small_regime_columns, welch_bound)
+                            null_space_sign_ratio, welch_bound)
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
 from gfsig.experiments import build_masks
 from gfsig.galois import is_prime
@@ -144,7 +142,7 @@ def _oracle_cases():
     for family, kwargs in VERIFY_GRID + VERIFY_GRID_QUICK:
         masks = build_masks(family, **kwargs)
         L, B = masks.L, masks.B
-        small = small_regime_columns(family, L, masks.params.get("H"))
+        small = FAMILIES[family].small_columns(L, masks.params.get("H"))
         counts = {small, small - 3, L + 1, L, L - 2}  # L, L - 2: one block, Gram fallback
         if (family, kwargs) in VERIFY_GRID_QUICK:
             counts |= {B * L, B * L - 3}  # the last block full, then partial
@@ -213,7 +211,7 @@ def test_bound_sweep_every_instance():
     for family, kwargs in _bound_sweep_instances():
         masks = build_masks(family, **kwargs)
         L, B, H = masks.L, masks.B, masks.params.get("H")
-        for n in sorted({min(small_regime_columns(family, L, H), B * L), B * L}):
+        for n in sorted({min(FAMILIES[family].small_columns(L, H), B * L), B * L}):
             report = coherence_report(build_signature_matrix(masks, n, 1))
             # Welch <= mu <= bound, to bound_failures' 1e-9: the small regime attains
             # its bound, which mu exceeds by rounding (up to 2.5e-16, cubic L = 29)
@@ -250,7 +248,8 @@ def test_mask_rows_must_be_shifted_bases():
     for seed in range(50):
         V = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=(3, 7)))
         A = (V.T[:, :, None] * F[:, None, :]).reshape(7, 21)
-        understated += analysis._masked_dft_coherence(V, [0])[0] < coherence(A) - 1e-12
+        row0 = np.not_equal.outer([0], np.arange(3))  # block 0 against blocks 1 and 2
+        understated += analysis._masked_dft_coherence(V, [0], row0)[0] < coherence(A) - 1e-12
         with pytest.raises(TypeError, match="mask_rows"):
             SignatureMatrix(A, 21, 1, "cubic", {"L": 7}, mask_rows=V)
         assert coherence(SignatureMatrix(A, 21, 1, "cubic", {"L": 7})) == coherence(A)
@@ -291,7 +290,8 @@ def test_hand_built_matrix_takes_the_gram_scan():
     sig = SignatureMatrix(A, 20, 1, "cubic", {"L": 7})
     assert sig.mask_rows is None
     assert coherence(sig) == analysis._gram_coherence(A)[0]
-    assert coherence(sig) > analysis._masked_dft_coherence(rows, [0])[0] + 0.1
+    row0 = np.not_equal.outer([0], np.arange(len(rows)))
+    assert coherence(sig) > analysis._masked_dft_coherence(rows, [0], row0)[0] + 0.1
     with pytest.raises(TypeError, match="mask_rows"):
         SignatureMatrix(A, 20, 1, "cubic", {"L": 7}, mask_rows=rows)
 
@@ -394,7 +394,7 @@ def test_orbit_rows_match_every_base_on_every_instance():
         L, B, H = masks.L, masks.B, masks.params.get("H")
         if family == "trace":
             assert masks.bases(B) == [0]  # the orbit shortcut, not L + 1 bases
-        for n in sorted({min(small_regime_columns(family, L, H), B * L), B * L}):
+        for n in sorted({min(FAMILIES[family].small_columns(L, H), B * L), B * L}):
             sig = build_signature_matrix(masks, n, 1)
             blocks = len(sig.mask_rows)
             if blocks < 2:  # one block: the Gram scan
@@ -448,7 +448,8 @@ def test_trace_block_zero_needs_trace_rows(p):
         sig = build_signature_matrix(masks, B * L, 1)
         mu, pair = coherence(sig, with_pair=True)
         assert abs(mu - base_block_coherence(masks.masks, every)[0]) < 1e-12
-        assert mu > analysis._masked_dft_coherence(masks.masks, [0])[0] + 1e-3
+        row0 = np.not_equal.outer([0], np.arange(B))
+        assert mu > analysis._masked_dft_coherence(masks.masks, [0], row0)[0] + 1e-3
         if p == 3:  # q = 9: 576 columns
             assert abs(mu - analysis._gram_coherence(sig.entries)[0]) < 1e-12
         _check_pair_from_masks(masks, B * L, mu, pair)
@@ -464,7 +465,7 @@ VERIFY_CASES = VERIFY_GRID + [case for case in VERIFY_GRID_QUICK if case not in 
 def test_verify_masks_matches_the_full_matrix(family, kwargs, monkeypatch):
     masks = build_masks(family, **kwargs)
     L, B, H = masks.L, masks.B, masks.params.get("H")
-    for n in sorted({min(small_regime_columns(family, L, H), B * L), B * L}):
+    for n in sorted({min(FAMILIES[family].small_columns(L, H), B * L), B * L}):
         widths, lifted = [], []  # columns of every masked_dft_columns call; lifted samples
 
         def columns(V, cols):
@@ -489,11 +490,11 @@ def test_verify_masks_matches_the_full_matrix(family, kwargs, monkeypatch):
         mu = (coherence(S) if n <= 2048
               else reference_masked_dft_coherence(masks.masks[:-(-n // L)])[0])
         assert abs(report.mu - mu) < 1e-12, n
-        small = small_regime(family, L, H, n, 1)
+        small = n <= FAMILIES[family].small_columns(L, H)
         assert (report.family, report.L, report.H, report.n_devices, report.q_per_device,
                 report.welch, report.bound, report.regime) == (
             family, S.shape[0], H, S.shape[1], 1, welch_bound(*S.shape),
-            family_coherence_bound(family, L, H, n, 1), "small" if small else "general"), n
+            FAMILIES[family].bound(L, small), "small" if small else "general"), n
         i, j = report.argmax_pair
         assert 0 <= i < j < S.shape[1], n
         assert abs(abs(np.vdot(S[:, i], S[:, j])) - report.mu) < 1e-12, n
@@ -606,33 +607,33 @@ def test_lift_coherence_squares_deterministic_families():
 # --- family bounds ----------------------------------------------------------
 
 def test_family_bound_values():
-    assert family_coherence_bound("cubic", 23, None, 200, 4) == pytest.approx(2 / math.sqrt(23))
-    assert family_coherence_bound("cubic", 23, None, 132, 4) == pytest.approx(1 / math.sqrt(23))
-    assert family_coherence_bound("pr", 23, 22, 100, 4) == pytest.approx((math.sqrt(23) + 1) / 23)
-    assert family_coherence_bound("pr", 23, 22, 200, 4) == pytest.approx((2 * math.sqrt(23) + 2) / 23)
-    assert family_coherence_bound("sidelnikov", 24, 24, 100, 4) == pytest.approx(8 / 24)
-    assert family_coherence_bound("trace", 24, None, 500, 2) == pytest.approx(0.5)
-    assert family_coherence_bound("trace", 24, None, 288, 2) == pytest.approx(7 / 24)
-    with pytest.raises(ValueError):
-        family_coherence_bound("zadoff", 23, None, 10, 1)
+    # Family.regime at N = N_d Q
+    cases = [("cubic", 23, None, 800, 2 / math.sqrt(23), "general"),
+             ("cubic", 23, None, 528, 1 / math.sqrt(23), "small"),
+             ("pr", 23, 22, 400, (math.sqrt(23) + 1) / 23, "small"),
+             ("pr", 23, 22, 800, (2 * math.sqrt(23) + 2) / 23, "general"),
+             ("sidelnikov", 24, 24, 400, 8 / 24, "small"),
+             ("trace", 24, None, 1000, 0.5, "general"),
+             ("trace", 24, None, 576, 7 / 24, "small")]
+    for family, L, H, N, bound, regime in cases:
+        got = FAMILIES[family].regime(L, H, N)
+        assert got == (pytest.approx(bound), regime), (family, N)
+    for family in ("gaussian", "musa", "qpsk"):
+        assert FAMILIES[family].regime(23, None, 800) == (None, None)
 
 
 def test_small_regime_columns():
-    assert small_regime_columns("cubic", 23, None) == 529
-    assert small_regime_columns("trace", 24, None) == 576
-    assert small_regime_columns("pr", 23, 22) == 483
-    assert small_regime_columns("sidelnikov", 24, 24) == 552
-    with pytest.raises(ValueError, match="needs H"):
-        small_regime_columns("pr", 23, None)
-    with pytest.raises(ValueError, match="unknown"):
-        small_regime_columns("zadoff", 23, None)
+    assert FAMILIES["cubic"].small_columns(23, None) == 529
+    assert FAMILIES["trace"].small_columns(24, None) == 576
+    assert FAMILIES["pr"].small_columns(23, 22) == 483
+    assert FAMILIES["sidelnikov"].small_columns(24, 24) == 552
 
 
 def test_small_regime_boundaries():
-    assert small_regime("cubic", 23, None, 132, 4)  # N = 528 <= 529
-    assert not small_regime("cubic", 23, None, 133, 4)
-    assert small_regime("pr", 23, 22, 120, 4)  # N = 480 <= 483
-    assert not small_regime("pr", 23, 22, 121, 4)
+    assert FAMILIES["cubic"].regime(23, None, 529)[1] == "small"  # N <= 529
+    assert FAMILIES["cubic"].regime(23, None, 530)[1] == "general"
+    assert FAMILIES["pr"].regime(23, 22, 483)[1] == "small"  # N <= 483
+    assert FAMILIES["pr"].regime(23, 22, 484)[1] == "general"
 
 
 def test_bound_failures_flags_corrupted_matrix():

@@ -6,8 +6,8 @@ import pytest
 
 from gfsig import cli
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK, main
-from gfsig.experiments import ExperimentConfig
-from gfsig.seqgen import DETERMINISTIC_FAMILIES, GEN_TRIALS, gen_random_family
+from gfsig.experiments import GEN_TRIALS, ExperimentConfig, gen_random_family
+from gfsig.seqgen import DETERMINISTIC_FAMILIES
 
 PR_SEED_TEXT = "0,0,2,16,4,1,18,19,6,10,3,9,20,14,21,17,8,7,12,15,5,13,11"
 
@@ -149,6 +149,19 @@ def test_a1_full_rank_notice(capsys):
     # 16 columns in a 4-dim space: the lifted matrix has full column rank
     rc = main(["a1", "--family", "gaussian", "--L", "4", "--Nd", "8", "--Q", "1"])
     assert rc == 0
+    assert "empty null space" in capsys.readouterr().out
+
+
+def test_random_family_with_one_column(tmp_path, capsys):
+    # N_d Q = 1: no column pair to rank, yet the run goes through as a deterministic family's does
+    out_csv = tmp_path / "res.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("family = qpsk\nL = 7\nN_d = 1\nQ = 1\nK = 0, 1\nM = 4\ntrials = 2\n"
+                   f"output = {out_csv}\n")
+    assert main(["simulate", str(cfg)]) == 0
+    assert [line.split(",")[:7] for line in out_csv.read_text().splitlines()[1:]] == [
+        ["qpsk", "7", "", "1", "1", str(k), "4"] for k in (0, 1)]
+    assert main(["a1", "--family", "qpsk", "--L", "7", "--Nd", "1"]) == 0
     assert "empty null space" in capsys.readouterr().out
 
 

@@ -4,9 +4,8 @@ import pytest
 from gfsig.detectors import (CDML_BLOCK, AmpEstimate, MLEstimate, amp_decide,
                              cdml_decide, cdml_estimate, covariance_objective,
                              error_metric, mmv_amp_estimate)
-from gfsig.experiments import draw_trial
-from gfsig.seqgen import (build_signature_matrix, gen_cubic_masks,
-                          gen_random_family)
+from gfsig.experiments import draw_trial, gen_random_family
+from gfsig.seqgen import build_signature_matrix, gen_cubic_masks
 from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
                              PURPOSE_DETECTOR, PURPOSE_NOISE, draw_activity,
                              draw_channel, synthesize, trial_rng)

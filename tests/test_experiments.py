@@ -57,6 +57,8 @@ def test_config_parsing_features():
      r"^line 6: M = 0 must lie in \[1, inf\)$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2, 11\nM = 4\ntrials = 2",
      r"^line 5: K = 11 must lie in \[0, 10\]$"),
+    ("family = cubic\nL = 7\nN_d = 5\nQ = 1\nK = 5\nM = 4\ndetector = mmvamp\ntrials = 2",
+     r"^line 5: K = 5 must lie in \[0, 4\]$"),
     ("family = cubic\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2", "needs L"),
     ("family = sidelnikov\nL = 8\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2", "needs p"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ntrials = 2\nfoo = 1", "unknown"),
@@ -122,8 +124,8 @@ def test_config_parsing_features():
      r"^line 5: K grid \[2, 2\] is empty or repeats a value$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4, 8, 4\ntrials = 2",
      r"^line 6: M grid \[4, 8, 4\] is empty or repeats a value$"),
-], ids=["trials0", "N_d0", "Q0", "M-zero-item", "kbig", "noL", "nop", "unknown", "missing",
-        "baddet", "dupkey", "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L",
+], ids=["trials0", "N_d0", "Q0", "M-zero-item", "kbig", "mmvamp-K-all-columns", "noL", "nop",
+        "unknown", "missing", "baddet", "dupkey", "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L",
         "cubic-p", "pr-m", "random-p", "seed-2**32", "cdml-damping", "cdml-max_iters",
         "mmvamp-sweeps", "cubic-gen_trials", "trace-gen_trials-default",
         "cdml-sweeps0", "cdml-sigma_w2-0", "mmvamp-max_iters0", "mmvamp-damping1.5",
@@ -133,6 +135,15 @@ def test_config_parsing_features():
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
+
+
+def test_k_at_n_d_runs_while_the_amp_prior_stays_below_one():
+    # K = N_d activates every device: CD-ML runs it, and so does MMV-AMP when Q >= 2 keeps its
+    # activity prior K / (N_d Q) below 1 (at Q = 1, see the mmvamp-K-all-columns rejection)
+    text = "family = cubic\nL = 7\nN_d = 5\nQ = {}\nK = 5\nM = 4\ndetector = {}\ntrials = 2\n"
+    for q, detector in [(1, "cdml"), (2, "mmvamp")]:
+        rows = run_experiment(parse_config(text.format(q, detector)))
+        assert [(r.k_active, r.detector) for r in rows] == [(5, detector)]
 
 
 def test_tuning_ranges_admit_their_closed_ends():

@@ -118,7 +118,7 @@ def test_build_ext_field_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_ext_field(6, 2)
     with pytest.raises(ValueError):
-        build_ext_field(5, 10)  # 5^10 above the default table cap
+        build_ext_field(5, 10)  # 5^10 above the table cap MAX_Q
 
 
 def test_exp_log_round_trip():

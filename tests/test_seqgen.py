@@ -6,10 +6,10 @@ import pytest
 from gfsig import analysis
 from gfsig.analysis import coherence
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
-from gfsig.experiments import build_masks
+from gfsig.experiments import build_masks, gen_random_family
 from gfsig.galois import build_ext_field, primitive_polynomials
-from gfsig.seqgen import (MaskingSet, build_signature_matrix, dft_matrix, gen_cubic_masks,
-                          gen_pr_masks, gen_random_family,
+from gfsig.seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, RANDOM_FAMILIES, MaskingSet,
+                          build_signature_matrix, dft_matrix, gen_cubic_masks, gen_pr_masks,
                           gen_sidelnikov_masks, gen_trace_masks, mask_block,
                           masked_dft_columns, sidelnikov_seed, signature_to_csv,
                           trace_seed)
@@ -257,8 +257,7 @@ def test_musa_support_and_no_zero_columns():
     sig = gen_random_family("musa", 1, 300, trials=1, rng=rng)
     # L = 1 makes all-zero columns likely, all must have been redrawn
     assert np.all(np.abs(sig.entries) > 0)
-    from gfsig.seqgen import _draw_candidate
-    raw = _draw_candidate("musa", 23, 200, rng)
+    raw = FAMILIES["musa"].draw(rng, 23, 200)
     points = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * (np.sqrt(3) / 2)
     seen = np.unique(np.round(raw, 12))
     assert set(seen) <= set(np.round(points, 12))
@@ -286,8 +285,28 @@ def test_random_family_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         gen_random_family("gaussian", 8, 16, trials=0, rng=rng)
-    with pytest.raises(ValueError):
-        gen_random_family("pn", 8, 16, rng=rng)
+    for kind in ("pn", "cubic"):  # no such family, and a family with no draw
+        with pytest.raises(ValueError, match=f"^unknown random family '{kind}'$"):
+            gen_random_family(kind, 8, 16, rng=rng)
+
+
+def test_random_family_with_one_column_keeps_the_first_draw():
+    for kind in RANDOM_FAMILIES:
+        sig = gen_random_family(kind, 7, 1, trials=3, rng=np.random.default_rng(4))
+        first = FAMILIES[kind].draw(np.random.default_rng(4), 7, 1)
+        assert np.array_equal(sig.entries, first / np.linalg.norm(first, axis=0))
+        assert sig.meta == {"trials": 3, "coherence": 0.0} and sig.shape == (7, 1)
+
+
+def test_family_table_columns():
+    # a deterministic family carries its regime, bound and block structure, a random one its draw
+    assert set(DETERMINISTIC_FAMILIES) | set(RANDOM_FAMILIES) == set(FAMILIES)
+    for name in DETERMINISTIC_FAMILIES:
+        fam = FAMILIES[name]
+        assert None not in (fam.small_columns, fam.bound, fam.shift_rule) and fam.draw is None
+    for name in RANDOM_FAMILIES:
+        fam = FAMILIES[name]
+        assert fam.draw is not None and fam.bound is None, name
 
 
 def test_signature_csv_round_trip(tmp_path):
