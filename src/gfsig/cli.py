@@ -38,6 +38,8 @@ VERIFY_GRID_QUICK = [
     ("sidelnikov", {"p": 3, "m": 2}),
     ("trace", {"p": 3, "m": 2}),
 ]
+# count flag (argparse dest) -> its least value; bench's coherence needs N >= 2 columns
+COUNT_FLAGS = {"L": 1, "N": 2, "Q": 1, "Nd": 1, "gen_trials": 1, "samples": 1, "trials": 1}
 
 
 def _family_args(parser):
@@ -235,10 +237,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for key in ("Q", "Nd", "gen_trials", "samples", "trials"):  # counts, each >= 1
+        for key, least in COUNT_FLAGS.items():
             value = getattr(args, key, None)
-            if value is not None and value < 1:
-                raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
+            if value is not None and value < least:
+                raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -236,7 +235,7 @@ def build_signatures(cfg: ExperimentConfig) -> SignatureMatrix:
 
 def draw_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
                n_antennas: int, sigma_w2: float, base_seed: int, trial: int):
-    """Draws of one trial: (activity, channel rows H, Y, detector rng).
+    """Draws of one trial: (activity, channel rows H (one per device), Y, detector rng).
 
     Stream keys omit the family and detector so that runs over different
     signature sets see identical activity, channel, and noise draws.
@@ -244,8 +243,7 @@ def draw_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
     keys = (k_active, n_antennas, trial)
     activity = draw_activity(n_devices, k_active, q_per_device,
                              trial_rng(base_seed, *keys, PURPOSE_ACTIVITY))
-    H = draw_channel(n_devices, n_antennas, q_per_device,
-                     trial_rng(base_seed, *keys, PURPOSE_CHANNEL))
+    H = draw_channel(n_devices, n_antennas, trial_rng(base_seed, *keys, PURPOSE_CHANNEL))
     Y = synthesize(S, activity, H, sigma_w2, trial_rng(base_seed, *keys, PURPOSE_NOISE))
     return activity, H, Y, trial_rng(base_seed, *keys, PURPOSE_DETECTOR)
 
@@ -302,6 +300,13 @@ def workers_from_env() -> int:
     if workers < 1:
         raise ValueError(f"{WORKERS_ENV} must be >= 1, got {value!r}")
     return workers
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported on the first call: a one-worker
+    run never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,

@@ -1,10 +1,11 @@
 """Uplink synthesis for the non-coherent access model.
 
 A trial draws a K-subset of active devices, one symbol index per active
-device, a block-fading channel shared by each device's Q signature slots,
-and produces Y = sqrt(L) S Gamma^(1/2) H + W. Randomness comes from
-counter-based streams keyed on (base_seed, ..., purpose), so trials are
-reproducible and order-independent under parallel execution.
+device, one block-fading channel vector per device, which carries whichever
+of its Q signatures the device sends, and produces
+Y = sqrt(L) S Gamma^(1/2) H + W. Randomness comes from counter-based
+streams keyed on (base_seed, ..., purpose), so trials are reproducible and
+order-independent under parallel execution.
 """
 
 from __future__ import annotations
@@ -70,27 +71,29 @@ def draw_activity(n_devices: int, k_active: int, q_per_device: int,
     return ActivityPattern(indicators, active)
 
 
-def draw_channel(n_devices: int, n_antennas: int, q_per_device: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """(N_d Q, M) channel rows: one CN(0, I_M) vector per device, repeated over its Q rows."""
+def draw_channel(n_devices: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
+    """(N_d, M) channel rows: one CN(0, I_M) vector per device."""
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
-    return np.repeat(complex_normal(rng, (n_devices, n_antennas)), q_per_device, axis=0)
+    return complex_normal(rng, (n_devices, n_antennas))
 
 
 def synthesize(S: np.ndarray, activity: ActivityPattern, H: np.ndarray, sigma_w2: float,
                rng: np.random.Generator) -> np.ndarray:
     """Y = sqrt(L) S Gamma^(1/2) H + W, (L, M), for unit-norm signature columns.
 
-    Columns are rescaled to norm sqrt(L) here, never in the stored matrix.
+    H holds one row per device (draw_channel's); column n Q + q of S sends
+    on row n. Columns are rescaled to norm sqrt(L) here, never in the stored
+    matrix.
     """
     L, N = S.shape
+    n_devices, q_per_device = activity.indicators.shape
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be >= 0")
-    if N != activity.indicators.size or H.shape[0] != N:
+    if N != activity.indicators.size or H.shape[0] != n_devices:
         raise ValueError("shape mismatch between signatures, activity, and channel")
     act = np.flatnonzero(activity.indicators)
-    Y = (np.sqrt(L) * S[:, act]) @ H[act]
+    Y = (np.sqrt(L) * S[:, act]) @ H[act // q_per_device]
     if sigma_w2 > 0:
         Y = Y + complex_normal(rng, (L, H.shape[1]), var=sigma_w2)
     return Y

@@ -195,7 +195,11 @@ def test_family_flags_checked_against_the_family_table(capsys, argv, msg):
     (["a1", "--family", "cubic", "--L", "7", "--Nd", "49", "--Q", "2", "--samples", "0"],
      "--samples must be >= 1, got 0"),
     (["bench", "--L", "7", "--N", "20", "--trials", "0"], "--trials must be >= 1, got 0"),
-], ids=["gen-Q", "gen-Nd", "a1-Q", "a1-Nd", "a1-gen-trials", "a1-samples", "bench-trials"])
+    (["bench", "--L", "7", "--N", "1"], "--N must be >= 2, got 1"),
+    (["bench", "--L", "0", "--N", "5"], "--L must be >= 1, got 0"),
+    (["a1", "--family", "qpsk", "--L", "0", "--Nd", "5"], "--L must be >= 1, got 0"),
+], ids=["gen-Q", "gen-Nd", "a1-Q", "a1-Nd", "a1-gen-trials", "a1-samples", "bench-trials",
+        "bench-N", "bench-L", "a1-L"])
 def test_counts_below_one_rejected(capsys, argv, msg):
     assert main(argv) == 1
     captured = capsys.readouterr()

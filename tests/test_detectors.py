@@ -92,7 +92,7 @@ def test_cdml_single_active_device_argmax():
     trials = 200
     for t in range(trials):
         act = draw_activity(n_dev, 1, Q, trial_rng(3, t, PURPOSE_ACTIVITY))
-        H = draw_channel(n_dev, M, Q, rng=trial_rng(3, t, PURPOSE_CHANNEL))
+        H = draw_channel(n_dev, M, rng=trial_rng(3, t, PURPOSE_CHANNEL))
         Y = synthesize(A, act, H, 0.1, trial_rng(3, t, PURPOSE_NOISE))
         est = cdml_estimate(Y, S_scaled, 0.1, sweeps=8,
                             rng=trial_rng(3, t, PURPOSE_DETECTOR))
@@ -151,7 +151,7 @@ def qpsk_instances(trials, L=16, n_devices=50, Q=2):
     rng = np.random.default_rng(12)
     for _ in range(trials):
         act = draw_activity(n_devices, 8, Q, rng)
-        H = draw_channel(n_devices, 32, Q, rng=rng)
+        H = draw_channel(n_devices, 32, rng=rng)
         Y = synthesize(A, act, H, 0.1, rng)
         yield Y, np.sqrt(L) * A, act.indicators, np.random.default_rng(rng.integers(1 << 32))
 
@@ -299,8 +299,9 @@ def test_amp_noiseless_single_device_recovery():
     errs = []
     for t in range(100):
         act = draw_activity(100, 1, 4, trial_rng(4, t, PURPOSE_ACTIVITY))
-        H = draw_channel(100, 8, 4, rng=trial_rng(4, t, PURPOSE_CHANNEL))
+        H = draw_channel(100, 8, rng=trial_rng(4, t, PURPOSE_CHANNEL))
         Y = synthesize(S, act, H, 0.0, trial_rng(4, t, PURPOSE_NOISE))
+        H = H[np.arange(100 * 4) // 4]
         est = mmv_amp_estimate(Y, S_scaled, 1 / 400, max_iters=100)
         i = act.active_set[0] * 4 + int(np.argmax(act.indicators[act.active_set[0]]))
         errs.append(np.linalg.norm(est.X_hat[i] - H[i]) / np.linalg.norm(H[i]))
@@ -315,7 +316,7 @@ def test_amp_support_recovery_k10():
     pes = []
     for t in range(200):
         act = draw_activity(200, 10, 4, trial_rng(5, t, PURPOSE_ACTIVITY))
-        H = draw_channel(200, 10, 4, rng=trial_rng(5, t, PURPOSE_CHANNEL))
+        H = draw_channel(200, 10, rng=trial_rng(5, t, PURPOSE_CHANNEL))
         Y = synthesize(S, act, H, 0.1, trial_rng(5, t, PURPOSE_NOISE))
         est = mmv_amp_estimate(Y, S_scaled, 10 / 800)
         res = amp_decide(est.X_hat, 200, 4)
@@ -329,8 +330,9 @@ def test_amp_fixed_point_keeps_support():
     S = sig.entries
     S_scaled = np.sqrt(23) * S
     act = draw_activity(50, 5, 2, trial_rng(6, 0, PURPOSE_ACTIVITY))
-    H = draw_channel(50, 6, 2, rng=trial_rng(6, 0, PURPOSE_CHANNEL))
+    H = draw_channel(50, 6, rng=trial_rng(6, 0, PURPOSE_CHANNEL))
     Y = synthesize(S, act, H, 0.0, trial_rng(6, 0, PURPOSE_NOISE))
+    H = H[np.arange(50 * 2) // 2]
     X_true = (act.indicators.reshape(-1)[:, None] * H).astype(complex)
     est = mmv_amp_estimate(Y, S_scaled, 5 / 100, max_iters=1, x_init=X_true)
     before = amp_decide(X_true, 50, 2)
@@ -403,6 +405,7 @@ def amp_instances(M, trials, K=10, n_devices=200, Q=4):
     S = build_signature_matrix(gen_cubic_masks(23), n_devices, Q).entries
     for t in range(trials):
         act, H, Y, _ = draw_trial(S, n_devices, Q, K, M, 0.1, 1, t)
+        H = H[np.arange(n_devices * Q) // Q]
         X_true = act.indicators.reshape(-1)[:, None] * H
         yield Y, np.sqrt(23) * S, act.indicators, X_true, K / (n_devices * Q)
 

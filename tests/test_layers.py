@@ -26,9 +26,11 @@ LOADS = {
 }
 
 
-def loaded_by(statement: str) -> set[str]:
-    """The gfsig modules loaded after `statement` runs in a fresh interpreter."""
-    code = f"{statement}; import sys; print(*(m[6:] for m in sys.modules if m[:6] == 'gfsig.'))"
+def loaded_by(statement: str, prefix: str = "gfsig.") -> set[str]:
+    """The modules named `prefix`... loaded after `statement` runs in a fresh interpreter,
+    less the prefix."""
+    code = (f"{statement}; import sys; "
+            f"print(*(m[{len(prefix)}:] for m in sys.modules if m.startswith({prefix!r})))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -47,3 +49,10 @@ def test_package_import_loads_no_module():
 @pytest.mark.parametrize("module", sorted(LOADS))
 def test_module_imports_alone_and_one_way(module):
     assert loaded_by(f"import gfsig.{module}") == LOADS[module]
+
+
+@pytest.mark.parametrize("module", ["experiments", "cli"])
+def test_one_worker_imports_load_no_process_pool(module):
+    # the pool is imported when a run with workers > 1 builds one, never at import
+    loaded = loaded_by(f"import gfsig.{module}", prefix="")
+    assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded

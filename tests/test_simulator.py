@@ -5,7 +5,7 @@ from gfsig.experiments import draw_trial
 from gfsig.seqgen import build_signature_matrix, gen_cubic_masks
 from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
                              PURPOSE_DETECTOR, PURPOSE_GEN, PURPOSE_NOISE,
-                             complex_normal, draw_activity, draw_channel,
+                             ActivityPattern, complex_normal, draw_activity, draw_channel,
                              synthesize, trial_rng)
 
 
@@ -65,23 +65,53 @@ def test_draw_activity_edges():
         draw_activity(10, 11, 2, rng)
 
 
-def test_draw_channel_repeats_rows():
-    H = draw_channel(30, 8, 4, rng=np.random.default_rng(2))
-    assert H.shape == (120, 8)
-    for n in range(30):
-        block = H[4 * n : 4 * (n + 1)]
-        assert np.array_equal(block, np.repeat(block[:1], 4, axis=0))
+def test_draw_channel_one_row_per_device():
+    # one CN(0, I_M) row per device from a single draw; device n sends its symbol q,
+    # column nQ + q of S, through row n: Y = sqrt(L) s_(nQ+q) h_n^T
+    H = draw_channel(30, 8, rng=np.random.default_rng(2))
+    assert H.shape == (30, 8)
+    assert np.array_equal(H, complex_normal(np.random.default_rng(2), (30, 8)))
+    S = build_signature_matrix(gen_cubic_masks(7), 30, 4).entries
+    for n in (0, 13, 29):
+        for q in range(4):
+            indicators = np.zeros((30, 4), dtype=np.int8)
+            indicators[n, q] = 1
+            Y = synthesize(S, ActivityPattern(indicators, np.array([n])), H, 0.0, None)
+            assert np.allclose(Y, np.sqrt(7) * np.outer(S[:, 4 * n + q], H[n]))
+
+
+def test_synthesize_rejects_slot_rows():
+    # an (N_d Q, M) channel, one row per signature slot, is not a channel of N_d devices
+    S = build_signature_matrix(gen_cubic_masks(7), 30, 2).entries
+    act = draw_activity(30, 3, 2, np.random.default_rng(18))
+    H = draw_channel(30, 4, rng=np.random.default_rng(19))
+    synthesize(S, act, H, 0.0, None)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        synthesize(S, act, np.repeat(H, 2, axis=0), 0.0, None)
+
+
+def test_draw_trial_y_unchanged():
+    # Y of one (base seed, K, M, trial) as recorded when the channel repeated each device's
+    # row over its Q slots; one row per device must leave it unchanged (1e-12: BLAS margin)
+    S = build_signature_matrix(gen_cubic_masks(7), 30, 2).entries
+    activity, H, Y, _ = draw_trial(S, 30, 2, 3, 4, 0.1, 5, 0)
+    assert activity.active_set.tolist() == [9, 12, 27] and H.shape == (30, 4)
+    np.testing.assert_allclose(Y[0], [3.426826438023992 - 1.6811326085009093j,
+                                      -1.0928506029737097 - 0.13982199359788028j,
+                                      1.3387639997126342 + 1.4725374790709402j,
+                                      1.8889046014411628 - 0.02600952762336013j], rtol=1e-12)
+    np.testing.assert_allclose(Y.sum(), 14.824525466162381 + 6.324821900409316j, rtol=1e-12)
 
 
 def test_draw_channel_unit_power():
-    H = draw_channel(2000, 50, 1, rng=np.random.default_rng(3))
+    H = draw_channel(2000, 50, rng=np.random.default_rng(3))
     assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.05
 
 
 def test_synthesize_zero_cases():
     sig = build_signature_matrix(gen_cubic_masks(7), 30, 2)
     act = draw_activity(30, 0, 2, np.random.default_rng(4))
-    H = draw_channel(30, 5, 2, rng=np.random.default_rng(5))
+    H = draw_channel(30, 5, rng=np.random.default_rng(5))
     Y = synthesize(sig.entries, act, H, 0.0, np.random.default_rng(6))
     assert np.all(Y == 0)
     assert Y.shape == (7, 5)
@@ -90,8 +120,9 @@ def test_synthesize_zero_cases():
 def test_synthesize_single_device_rank_one():
     sig = build_signature_matrix(gen_cubic_masks(7), 30, 2)
     act = draw_activity(30, 1, 2, np.random.default_rng(7))
-    H = draw_channel(30, 1, 2, rng=np.random.default_rng(8))
+    H = draw_channel(30, 1, rng=np.random.default_rng(8))
     Y = synthesize(sig.entries, act, H, 0.0, np.random.default_rng(9))
+    H = H[np.arange(30 * 2) // 2]
     n = act.active_set[0]
     q = int(np.argmax(act.indicators[n]))
     col = 2 * n + q
@@ -103,7 +134,7 @@ def test_synthesize_single_device_rank_one():
 def test_noise_only_energy():
     sig = build_signature_matrix(gen_cubic_masks(7), 20, 2)
     L, M, s2 = 7, 6, 0.1
-    H = draw_channel(20, M, 2, rng=np.random.default_rng(10))
+    H = draw_channel(20, M, rng=np.random.default_rng(10))
     act = draw_activity(20, 0, 2, np.random.default_rng(11))
     total = 0.0
     trials = 1000
@@ -121,7 +152,7 @@ def test_signal_energy_identity():
     trials = 1000
     for t in range(trials):
         act = draw_activity(20, K, 2, trial_rng(6, t, PURPOSE_ACTIVITY))
-        H = draw_channel(20, M, 2, rng=trial_rng(6, t, PURPOSE_CHANNEL))
+        H = draw_channel(20, M, rng=trial_rng(6, t, PURPOSE_CHANNEL))
         Y = synthesize(sig.entries, act, H, 0.0, trial_rng(6, t, PURPOSE_NOISE))
         total += np.linalg.norm(Y) ** 2
     expected = K * L * M
@@ -133,7 +164,7 @@ def test_synthesize_deterministic():
     out = []
     for _ in range(2):
         act = draw_activity(20, 5, 2, trial_rng(9, 0, PURPOSE_ACTIVITY))
-        H = draw_channel(20, 3, 2, rng=trial_rng(9, 0, PURPOSE_CHANNEL))
+        H = draw_channel(20, 3, rng=trial_rng(9, 0, PURPOSE_CHANNEL))
         Y = synthesize(sig.entries, act, H, 0.1, trial_rng(9, 0, PURPOSE_NOISE))
         out.append(Y)
     assert np.array_equal(out[0], out[1])
@@ -142,7 +173,7 @@ def test_synthesize_deterministic():
 def test_synthesize_shape_mismatch():
     sig = build_signature_matrix(gen_cubic_masks(7), 20, 2)
     act = draw_activity(19, 5, 2, np.random.default_rng(12))
-    H = draw_channel(19, 3, 2, rng=np.random.default_rng(13))
+    H = draw_channel(19, 3, rng=np.random.default_rng(13))
     with pytest.raises(ValueError):
         synthesize(sig.entries, act, H, 0.1, np.random.default_rng(14))
 
@@ -150,6 +181,6 @@ def test_synthesize_shape_mismatch():
 def test_synthesize_all_active_scaling():
     sig = build_signature_matrix(gen_cubic_masks(7), 4, 1)
     act = draw_activity(4, 4, 1, np.random.default_rng(15))
-    H = draw_channel(4, 2, 1, rng=np.random.default_rng(16))
+    H = draw_channel(4, 2, rng=np.random.default_rng(16))
     Y = synthesize(sig.entries, act, H, 0.0, np.random.default_rng(17))
     assert np.allclose(Y, np.sqrt(7) * sig.entries @ H)
