@@ -3,7 +3,7 @@
 Everything here operates on plain complex arrays; objects carrying their
 matrix in an ``entries`` attribute (e.g. SignatureMatrix) are accepted too.
 A masked-DFT matrix that also carries its ``mask_rows`` gets its coherence
-from a few of its masks (MaskingSet.bases) instead of a Gram scan.
+from a few pairs of its masks (MaskingSet.pairs) instead of a Gram scan.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from .seqgen import FAMILIES, dft_matrix
 
 GRAM_BLOCK = 2048  # columns per block of the Gram scan, so memory stays bounded at large N
+PAIR_CHUNK = 2**13  # complex entries (128 KiB, glibc's default mmap threshold) a chunk of
+# |DFT| rows stays below, so memory stays bounded however many block pairs there are
 BOUND_TOL = 1e-9  # slack of bound_failures' checks; keep it tight: pr L=47 sits 2.8e-4 under
 SIGN_TOL = 1e-8  # the sign ratio counts an entry with |x_i| > SIGN_TOL max|x| as nonzero
 RANK_TOL = 1e-10  # a lifted matrix's singular value above RANK_TOL times the largest counts
@@ -29,16 +31,16 @@ def as_matrix(S) -> np.ndarray:
 def coherence(S, with_pair: bool = False):
     """Maximum normalized inner product over distinct column pairs.
 
-    A masked-DFT signature matrix with two or more blocks of ``mask_rows`` pairs
-    the blocks MaskingSet.bases names with those .partners marks (see _masked_dft_coherence).
-    Anything else goes through the normalized Gram matrix, GRAM_BLOCK columns at
-    a time. Raises on zero columns. with_pair=True also returns the column pair
-    (i, j), i < j, that attains the maximum.
+    A masked-DFT signature matrix with two or more blocks of ``mask_rows`` computes
+    the |DFT| rows of the block pairs MaskingSet.pairs names: its family's orbit rule,
+    or every base against every block less conjugate mirrors (see _masked_dft_coherence).
+    Anything else goes through the normalized Gram matrix: one real product for a tall
+    matrix, GRAM_BLOCK columns at a time for a wide one. Raises on zero columns.
+    with_pair=True also returns the column pair (i, j), i < j, that attains the maximum.
     """
     V = getattr(S, "mask_rows", None)
     if V is not None and len(V) > 1:
-        bases = S.masks.bases(len(V))
-        best, pair = _masked_dft_coherence(V, bases, S.masks.partners(bases, len(V)))
+        best, pair = _masked_dft_coherence(V, *S.masks.pairs(len(V)))
     else:
         best, pair = _gram_coherence(as_matrix(S))
     best = min(best, 1.0)
@@ -50,25 +52,34 @@ def coherence(S, with_pair: bool = False):
 def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
     if A.ndim != 2 or A.shape[1] < 2:
         raise ValueError("need a matrix with at least 2 columns")
-    norms = np.linalg.norm(A, axis=0)
+    L, N = A.shape
+    if L > N:
+        # A tall A (such as a Khatri-Rao lift) has fewer Gram entries than entries: one real
+        # syrk on its float64 view, whose 2 x 2 blocks hold Re and Im of every inner
+        # product and, on the diagonal, the squared column norms; no copy of A.
+        Af = np.ascontiguousarray(A, dtype=complex).view(np.float64)  # columns re, im, re, ...
+        G = (Af.T @ Af).reshape(N, 2, N, 2)
+        re = G[:, 0, :, 0] + G[:, 1, :, 1]
+        norms = np.sqrt(np.diagonal(re))
+    else:
+        norms = np.linalg.norm(A, axis=0)
     if np.any(norms < 1e-300):
         raise ValueError("matrix has a zero column")
-    L, N = A.shape
-    # A tall A (such as a Khatri-Rao lift) has fewer Gram entries than entries, so its Gram
-    # blocks are scaled by the norms; a wide A is cheaper to normalize column by column.
-    tall = L > N
-    An = A if tall else A / norms
+    if L > N:
+        G = np.hypot(re, G[:, 0, :, 1] - G[:, 1, :, 0])
+        G /= norms[:, None]
+        G /= norms
+        G[np.tri(N, dtype=bool)] = -1.0  # each pair once, as (i, j) with i < j
+        r, c = divmod(int(np.argmax(G)), N)
+        return float(G[r, c]), (r, c)
+    An = A / norms
     best = -1.0
     pair = (0, 1)
     for i0 in range(0, N, GRAM_BLOCK):
         Bi = An[:, i0 : i0 + GRAM_BLOCK]
         for j0 in range(i0, N, GRAM_BLOCK):
-            Bj = An[:, j0 : j0 + GRAM_BLOCK]
-            G = np.abs(Bi.conj().T @ Bj)
-            if tall:
-                G /= norms[i0 : i0 + GRAM_BLOCK, None]
-                G /= norms[j0 : j0 + GRAM_BLOCK]
-            if i0 == j0:  # each pair once, as (i, j) with i < j
+            G = np.abs(Bi.conj().T @ An[:, j0 : j0 + GRAM_BLOCK])
+            if i0 == j0:
                 G[np.tri(len(G), dtype=bool)] = -1.0
             k = int(np.argmax(G))
             r, c = divmod(k, G.shape[1])
@@ -78,33 +89,32 @@ def _gram_coherence(A: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, pair
 
 
-def _masked_dft_coherence(V: np.ndarray, bases, partners) -> tuple[float, tuple[int, int]]:
+def _masked_dft_coherence(V: np.ndarray, bases, blocks) -> tuple[float, tuple[int, int]]:
     """Coherence of [diag(v_0) F_L, ..., diag(v_{n-1}) F_L], n >= 2, from its mask rows V.
 
     Column l of block c meets column l' of block b in DFT(conj(v_c) v_b)[l' - l] / L.
     Only the last block can be partial, so two blocks attain their largest |DFT|.
     With v_b base c_b shifted by s_b, blocks b, b' with s_b <= s_b' have the |DFT|s
     of base c_b and base c_b' shifted by s_b' - s_b, a block of any prefix that
-    holds b'. So each unshifted block in `bases` needs one row of |DFT|s against the
-    blocks its row of `partners` marks (at most every other block: a block's own columns
-    are orthonormal); MaskingSet.bases and .partners keep fewer. The rows are V times
-    diag(conj(v_c)) F_L, which beats np.fft.fft at prime L <= 47 and scales the L x L F_L
-    rather than the rows."""
+    holds b'. So the rows (V[b] * conj(V[c])) F_L of the pairs (bases[i], blocks[i]) that
+    MaskingSet.pairs names hold the maximum. They are taken PAIR_CHUNK entries at a time;
+    a row times the L x L F_L beats np.fft.fft at prime L <= 47."""
     L = V.shape[1]
     F = dft_matrix(L)
-    best = -1.0
-    pair = (0, L)
-    for c, blocks in zip(bases, partners):
-        if not blocks.any():
-            continue
-        G = np.abs(V[blocks] @ (V[c].conj()[:, None] * F))
+    rows = max(1, (PAIR_CHUNK - 1) // L)
+    best, at = -1.0, 0
+    for i in range(0, len(bases), rows):
+        W = V[bases[i : i + rows]]
+        np.conjugate(W, out=W)
+        W *= V[blocks[i : i + rows]]
+        G = np.abs(W @ F)
         k = int(np.argmax(G))
         if G.flat[k] > best:
-            best = float(G.flat[k])
-            row, shift = divmod(k, L)
-            b = int(np.flatnonzero(blocks)[row])
-            # l' - l = shift, and column 0 of the later block, which alone may be partial
-            pair = (c * L + (-shift) % L, b * L) if c < b else (b * L + shift, c * L)
+            best, at = float(G.flat[k]), i * L + k
+    row, shift = divmod(at, L)
+    c, b = int(bases[row]), int(blocks[row])
+    # l' - l = shift, and column 0 of the later block, which alone may be partial
+    pair = (c * L + (-shift) % L, b * L) if c < b else (b * L + shift, c * L)
     return best / math.sqrt(L), pair
 
 

@@ -89,22 +89,14 @@ def _check_field(p: int, m: int, cap: int = MAX_Q) -> int:
 
 
 def _primitive_polys(p: int, m: int):
-    """Yield (poly, exp codes) of each primitive polynomial, in primitive_polynomials' order."""
+    """Yield (poly, exp codes) of each monic primitive polynomial of degree m over GF(p),
+    low-degree coefficients first, ordered lexicographically by coefficients compared high
+    degree first."""
     for n in range(p**m):
         poly = tuple(n // p**i % p for i in range(m)) + (1,)  # n iterates high digit slowest
         codes = _exp_codes(p, m, poly)
         if codes is not None:
             yield poly, codes
-
-
-def primitive_polynomials(p: int, m: int) -> list[tuple[int, ...]]:
-    """All monic primitive polynomials of degree m over GF(p).
-
-    Returned low-degree-first, ordered lexicographically by coefficients
-    compared high degree first.
-    """
-    _check_field(p, m)
-    return [poly for poly, _ in _primitive_polys(p, m)]
 
 
 class ExtField:

@@ -31,9 +31,12 @@ class Family:
     A deterministic family's masks are built from its base masks by `shift_rule`
     (see MaskingSet): mask b is base c_b cyclically shifted by s_b,
     v_b[k] = u_(c_b)[k + s_b], or for a chirped family u_(c_b)[k] exp(2j pi s_b k^2 / L).
-    Base c is block number c among the blocks with s_b = 0. Coherence needs the rows of a
-    few blocks (MaskingSet.bases, .partners): cubic's block 0 and one class per row, trace's
-    block 0 at full capacity, and else each base's row, one of each conjugate-mirror pair.
+    Base c is block number c among the blocks with s_b = 0. Coherence needs the |DFT| rows
+    of a few block pairs (MaskingSet.pairs). `orbit_rule` names them from the family's
+    symmetry orbits: cubic's affine maps (one row per cube class of the lambda_1 step, plus
+    one chirp row), Sidelnikov's Frobenius map x p with the conjugate mirror (in the small
+    regime and at full capacity), trace's block 0 at full capacity. It returns None when its
+    algebra does not hold for the masks or the prefix of n blocks; pr has no rule.
     """
 
     needs: tuple[str, ...]  # config keys it cannot be built without
@@ -42,12 +45,8 @@ class Family:
     bound: Callable | None = None  # (L, N within those columns) -> published bound
     shift_rule: Callable | None = None  # (L, H, blocks b) -> (base c_b, shift s_b), arrays
     chirp: bool = False  # s_b multiplies by the k^2 chirp instead of shifting
-    orbits: Callable | None = None  # MaskingSet -> whether block 0 meets every block pair's orbit
+    orbit_rule: Callable | None = None  # (MaskingSet, n blocks) -> (bases, blocks) or None
     draw: Callable | None = None  # (rng, L, N) -> L x N entries of a random family, unnormalized
-
-    def bases(self, L: int, H: int | None, n: int) -> list[int]:
-        """The blocks b < n with s_b = 0."""
-        return np.flatnonzero(self.shift_rule(L, H, np.arange(n))[1] == 0).tolist()
 
     def regime(self, L: int, H: int | None, N: int) -> tuple[float | None, str | None]:
         """(published coherence bound, "small" or "general") at N columns, the small regime
@@ -58,24 +57,89 @@ class Family:
         return self.bound(L, small), "small" if small else "general"
 
 
+def cubic_bases(L: int) -> np.ndarray:
+    """Base rows l1 k^3 + k^2 mod L, l1 = 0 .. L-1 (lambda_2 = 1; the chirp adds lambda_2 - 1)."""
+    k = np.arange(L, dtype=np.int64)
+    return (np.arange(L, dtype=np.int64)[:, None] * (k**3 % L) + k**2 % L) % L
+
+
+def cubic_orbits(masks: MaskingSet, n: int):
+    """Blocks (l1, l2) and (l1', l2') multiply to exp(2j pi (d1 k^3 + d2 k^2) / L). For prime
+    L >= 5 and d1 != 0, k -> k - t with 3 d1 t = d2 removes the k^2 term and k -> r k maps d1
+    to r^3 d1; both permute the DFT frequencies, so a row's |DFT|s depend on the cube class of
+    d1 alone. A d1 = 0 row is a chirp, every |DFT| sqrt(L). So block 0 against block 1 and
+    against block d L, for the least d of each cube class among the steps 1 .. ceil(n / L) - 1
+    the n blocks hold: at most 4 rows. None unless the base rows are cubic_bases(L)."""
+    L = masks.L
+    if L < 5 or not np.array_equal(masks.base_num, cubic_bases(L)):
+        return None
+    classes = math.gcd(3, L - 1)
+    least = {}  # cube class d^((L - 1) / classes) -> least step d in it
+    for d in range(1, -(-n // L)):
+        least.setdefault(pow(d, (L - 1) // classes, L), d)
+        if len(least) == classes:
+            break
+    blocks = np.array([1] + [d * L for d in least.values()])
+    return np.zeros_like(blocks), blocks
+
+
+def sidelnikov_orbits(masks: MaskingSet, n: int):
+    """Frobenius: 1 + a^(pk) = (1 + a^k)^p, so base rows u_l (l = 1 .. H-1) obey
+    u_l[p k] = u_(p l mod H)[k], which is checked on the numerators. So row (base l, base l'
+    shifted by s) at k -> p k is row (p l, p l' shifted by s / p): the same |DFT|s, permuted.
+    With the conjugate mirror (l', l, -s), each orbit of the triples (l, l', s) needs one row,
+    the least in the order (l, l', s). Only the H - 1 bases (s = 0: the small regime) and
+    full capacity are closed under x p; None for other prefixes."""
+    p, m, H = (masks.params.get(key) for key in ("p", "m", "H"))
+    L = masks.L
+    if None in (p, m, H) or n not in (H - 1, masks.B):
+        return None
+    lam = np.arange(1, H)
+    u = masks.base_num
+    if not np.array_equal(u[:, p * np.arange(L) % L], u[p * lam % H - 1]):  # u_l[p k], u_(p l)[k]
+        return None
+    pj = p ** np.arange(m)  # x p^j, j < m, on the rows; x p^-j on the shifts
+    moved = pj[:, None] * lam % H - 1  # (m, H - 1): base index of p^j l
+    ids = np.arange((H - 1) ** 2).reshape(H - 1, H - 1)  # (l, l') in order
+    img = moved[:, :, None] * (H - 1) + moved[:, None, :]
+    img = np.concatenate([img, img.transpose(0, 2, 1)])  # (p^j l, p^j l'), its mirror (p^j l', p^j l)
+    least = (img >= ids).all(0)
+    least[np.diag_indices(H - 1)] &= n == masks.B  # (l, l, s) needs s != 0
+    r, r2 = np.nonzero(least)
+    if n < masks.B:
+        return r, r2
+    s = np.arange(L)
+    mult = np.array([pow(int(x), -1, L) for x in pj])
+    keeps = np.concatenate([mult, -mult])[:, None] * s % L >= s  # (2m, L): the map keeps s least
+    fixes = img[:, r, r2] == ids[r, r2]  # (2m, pairs): the map fixes (l, l'), so moves s alone
+    least = ~(fixes[:, :, None] & ~keeps[:, None, :]).any(0)  # (pairs, L)
+    least[r == r2, 0] = False  # a block against itself
+    i, s = np.nonzero(least)
+    return r[i], s * (H - 1) + r2[i]
+
+
 def trace_bases(t1: np.ndarray, p: int) -> np.ndarray:
     """Base rows Tr(a^k + theta a^(2k)), theta = 0, a^0, ..., a^(L-1), from t1[k] = Tr(a^k)."""
     k = np.arange(len(t1))
     return np.vstack([t1, (t1 + t1[(k[:, None] + 2 * k[None, :]) % len(t1)]) % p])
 
 
-def trace_orbits(masks: MaskingSet) -> bool:
-    """Whether the seed obeys the primitive polynomial's recurrence, so is Tr(x a^k), and the
-    base rows are its trace_bases. Then blocks (theta, s), (theta', s') multiply to
-    Tr(x (y a^k + z a^(2k))), y = a^s' - a^s, z = theta' a^(2s') - theta a^(2s), and a shift
-    by j, (y, z) -> (y a^j, z a^(2j)), keeps |DFT|. Block 0 meets every orbit: (1, z) at
-    a^s' = 2, theta' = z / 4, and (0, z) at s' = 0, theta' = z."""
+def trace_orbits(masks: MaskingSet, n: int):
+    """Block 0 against every block at full capacity, if the seed obeys the primitive
+    polynomial's recurrence, so is Tr(x a^k), and the base rows are its trace_bases. Then
+    blocks (theta, s), (theta', s') multiply to Tr(x (y a^k + z a^(2k))),
+    y = a^s' - a^s, z = theta' a^(2s') - theta a^(2s), and a shift by j,
+    (y, z) -> (y a^j, z a^(2j)), keeps |DFT|. Block 0 meets every orbit: (1, z) at
+    a^s' = 2, theta' = z / 4, and (0, z) at s' = 0, theta' = z. None otherwise."""
     t, p, poly = masks.seed, masks.phase_den, masks.params.get("poly")
-    if t is None or poly is None or p != masks.params.get("p"):
-        return False
+    if n < masks.B or t is None or poly is None or p != masks.params.get("p"):
+        return None
     k, m = np.arange(len(t)), len(poly) - 1
     lfsr = -np.asarray(poly[:m]) @ t[(k + np.arange(m)[:, None]) % len(t)] % p
-    return np.array_equal(t[(k + m) % len(t)], lfsr) and np.array_equal(masks.base_num, trace_bases(t, p))
+    recurs = np.array_equal(t[(k + m) % len(t)], lfsr)
+    if not recurs or not np.array_equal(masks.base_num, trace_bases(t, p)):
+        return None
+    return np.zeros(n - 1, np.int64), np.arange(1, n)
 
 
 MUSA_POINTS = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * (np.sqrt(3) / 2)
@@ -92,18 +156,18 @@ def musa_draw(rng: np.random.Generator, L: int, N: int) -> np.ndarray:
 FAMILIES = {
     "cubic": Family(("L",), (), lambda L, H: L * L,
                     lambda L, small: 1.0 / math.sqrt(L) if small else 2.0 / math.sqrt(L),
-                    lambda L, H, b: np.divmod(b, L), chirp=True),
+                    lambda L, H, b: np.divmod(b, L), chirp=True, orbit_rule=cubic_orbits),
     "pr": Family(("L",), ("H",), lambda L, H: (H - 1) * L,
                  lambda L, small: (math.sqrt(L) + 1) / L if small else (2 * math.sqrt(L) + 2) / L,
                  lambda L, H, b: (b % (H - 1), b // (H - 1))),
     "sidelnikov": Family(
         ("p", "m"), ("H",), lambda L, H: (H - 1) * L,
         lambda L, small: (math.sqrt(L + 1) + 3) / L if small else (2 * math.sqrt(L + 1) + 4) / L,
-        lambda L, H, b: (b % (H - 1), b // (H - 1))),
+        lambda L, H, b: (b % (H - 1), b // (H - 1)), orbit_rule=sidelnikov_orbits),
     "trace": Family(
         ("p", "m"), (), lambda L, H: L * L,
         lambda L, small: (math.sqrt(L + 1) + 2) / L if small else (2 * math.sqrt(L + 1) + 2) / L,
-        lambda L, H, b: np.divmod(b, L), orbits=trace_orbits),
+        lambda L, H, b: np.divmod(b, L), orbit_rule=trace_orbits),
     "gaussian": Family(("L",), ("gen_trials",), draw=lambda rng, L, N: (
         rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))) / np.sqrt(2)),
     "musa": Family(("L",), ("gen_trials",), draw=musa_draw),
@@ -133,6 +197,8 @@ class MaskingSet:
     Only the phase numerators of the base masks are given. The family's `shift_rule`
     derives all B = (#bases) L masks from them: mask b is base c_b shifted by s_b,
     or, for a chirped family (whose phase_den must be L), times the k^2 chirp.
+    `pairs(n)` names the block pairs whose |DFT| rows give the coherence of the first
+    n masks' columns, from the family's `orbit_rule` when its algebra holds.
     """
 
     family: str
@@ -165,36 +231,26 @@ class MaskingSet:
     def B(self) -> int:
         return len(self.base_num) * self.L
 
-    def bases(self, n: int) -> list[int]:
-        """Blocks c < n whose |DFT(conj(v_c) v_b)| rows, b < n, hold every block pair's maximum.
-
-        The unshifted blocks (Family.bases), unless a chirped family's bases step by a
-        fixed row, u_c = u_0 w^c, as cubic's do: then conj(v_b) v_b' depends only on the
-        class (c_b' - c_b, s_b' - s_b) mod L. Block 0 meets each class (or its conjugate
-        mirror) but those a partial last row of L blocks lacks, which that row's first
-        block meets: L^2 - 1 rows at full capacity, not L^3. Block 0 alone also serves at
-        full capacity when the family's `orbits` check holds (trace): L (L + 1) - 1 rows.
-        """
-        fam = FAMILIES[self.family]
-        bases = fam.bases(self.L, self.params.get("H"), n)
-        step = np.diff(self.base_num, axis=0) % self.phase_den
-        if fam.chirp and (step == step[:1]).all():
-            return [0] if n % self.L == 0 else sorted({0, bases[-1]})
-        return [0] if n == self.B and fam.orbits and fam.orbits(self) else bases
-
-    def partners(self, bases: list[int], n: int) -> np.ndarray:
-        """(len(bases), n) bool: row i marks the blocks b < n, b != c = bases[i], c meets.
+    def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(base blocks c, blocks b), both < n, whose |DFT(conj(v_c) v_b)| rows hold every
+        block pair's maximum among the first n blocks: the family's orbit_rule, or else every
+        base against every other block, less conjugate mirrors.
 
         With c of base row r and b base r' shifted (or chirped) by s, conj(v_c) v_b is, up to
         a shift, the conjugate of conj(v_c') v_b' for c' of base r' and b' base r shifted by
-        -s: a conjugate mirror with the same largest |DFT|. So c skips b when r' < r, c' is
-        in `bases` and b' < n; at full capacity it meets the blocks of base r' >= r alone."""
-        r, s = FAMILIES[self.family].shift_rule(self.L, self.params.get("H"), np.arange(n))
-        present = np.zeros((len(self.base_num), self.L), bool)
+        -s: a conjugate mirror with the same largest |DFT|. So c skips b when r' < r and
+        b' < n; at full capacity it meets the blocks of base r' >= r alone."""
+        fam = FAMILIES[self.family]
+        found = fam.orbit_rule(self, n) if fam.orbit_rule else None
+        if found is not None:
+            return found
+        r, s = fam.shift_rule(self.L, self.params.get("H"), np.arange(n))
+        bases = np.flatnonzero(s == 0)  # base row i is block bases[i]
+        present = np.zeros((len(bases), self.L), bool)
         present[r, s] = True  # (base row, shift) of each block b < n
-        rc = r[bases, None]
-        mirrored = (r == rc).any(0) & (r < rc) & np.take(present[r[bases]], -s % self.L, axis=1)
-        return ~mirrored & np.not_equal.outer(bases, np.arange(n))
+        mirrored = (r < np.arange(len(bases))[:, None]) & present[:, -s % self.L]
+        i, b = np.nonzero(~mirrored & np.not_equal.outer(bases, np.arange(n)))
+        return bases[i], b
 
 
 @dataclass(frozen=True)
@@ -237,11 +293,6 @@ class SignatureMatrix:
     def shape(self) -> tuple[int, int]:
         return self.L, self.N
 
-    def device_columns(self, n: int) -> slice:
-        """Column slice of device n (0-based)."""
-        q = self.q_per_device
-        return slice(n * q, (n + 1) * q)
-
 
 @functools.cache
 def dft_matrix(L: int) -> np.ndarray:
@@ -263,10 +314,7 @@ def gen_cubic_masks(L: int) -> MaskingSet:
     """Cubic-phase masks exp(2j pi (l1 k^3 + l2 k^2) / L), B = L^2 of them."""
     if not is_prime(L) or L == 2:
         raise ValueError(f"L must be an odd prime, got {L}")
-    lam1 = np.arange(L, dtype=np.int64)[:, None]
-    k = np.arange(L, dtype=np.int64)
-    base = (lam1 * (k**3 % L) + k**2 % L) % L  # lambda_2 = 1; the chirp adds lambda_2 - 1
-    return MaskingSet("cubic", base, L, None, {"L": L})
+    return MaskingSet("cubic", cubic_bases(L), L, None, {"L": L})
 
 
 def pr_seed(pf: ExtField, H: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from gfsig.cli import VERIFY_GRID
 from gfsig.detectors import cdml_decide, cdml_estimate, error_metric
 from gfsig.experiments import (ExperimentConfig, build_masks, draw_trial, gen_random_family,
                                run_trial)
-from gfsig.galois import build_ext_field, primitive_polynomials
+from gfsig.galois import _primitive_polys, build_ext_field
 from gfsig.seqgen import (FAMILIES, build_signature_matrix, gen_cubic_masks,
                           gen_pr_masks, gen_sidelnikov_masks, gen_trace_masks, mask_block,
                           sidelnikov_seed, trace_seed)
@@ -59,7 +59,7 @@ def test_criterion_01_seed_tables():
     ok_pr = gen_pr_masks(23, 22).seed.tolist() == PR_SEED
     # the defining polynomial is located by searching all primitive
     # polynomials of GF(25)
-    polys = primitive_polynomials(5, 2)
+    polys = [poly for poly, _ in _primitive_polys(5, 2)]
     ok_sid = any(sidelnikov_seed(build_ext_field(5, 2, p), 24).tolist() == SID_SEED
                  for p in polys)
     ok_tr = any(trace_seed(build_ext_field(5, 2, p)).tolist() == TRACE_SEED

@@ -103,6 +103,54 @@ def test_gram_scan_matches_the_normalized_copy(shape, block, monkeypatch):
         analysis._gram_coherence(A)
 
 
+def plain_gram_coherence(A: np.ndarray) -> float:
+    """|A^H A| of the normalized columns, off the diagonal, in one complex product."""
+    An = A / np.linalg.norm(A, axis=0)
+    G = np.abs(An.conj().T @ An)
+    G[np.tri(len(G), dtype=bool)] = -1.0
+    return float(G.max())
+
+
+def _tied_columns(L):
+    """One column per pair i < j of 0..3, with unit-modulus entries in rows i and j of L:
+    normalized, two columns that share one row meet in 1/2, so 12 pairs tie at mu = 1/2."""
+    A = np.zeros((L, 6), complex)
+    for col, (i, j) in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]):
+        A[[i, j], col] = np.exp(1j * col), np.exp(2j * col)
+    return A
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (97, 96), (676, 48), (3, 2), (8, 6)],
+                         ids=["tall", "nearly-square", "lift-shape", "two-columns", "ties"])
+def test_tall_gram_scan_is_the_plain_normalized_scan(shape):
+    # the real syrk of a tall matrix against |A^H A| of its normalized columns: random complex
+    # entries with unequal column norms, one column scaled by 1e-150, and tied magnitudes
+    rng = np.random.default_rng(shape[0])
+    L, N = shape
+    A = _tied_columns(L) if shape == (8, 6) else rand_complex(rng, shape)
+    A = A * rng.uniform(0.01, 100.0, N)
+    for scaled in (False, True):
+        B = A.copy()
+        if scaled and shape == (8, 6):
+            B[:, -1] *= 1e-150  # (2, 3): ties with four columns
+        elif scaled:  # the maximum pairs the first column with a tiny near-copy of it
+            noise = rand_complex(rng, L) * np.linalg.norm(B[:, 0]) / math.sqrt(L)
+            B[:, -1] = 1e-150 * (B[:, 0] + 0.2 * noise)
+        mu, (i, j) = analysis._gram_coherence(B)
+        if scaled and shape != (8, 6):
+            assert (i, j) == (0, N - 1)
+        assert abs(mu - plain_gram_coherence(B)) < 1e-12, scaled
+        assert 0 <= i < j < N
+        a, b = B[:, i] / np.linalg.norm(B[:, i]), B[:, j] / np.linalg.norm(B[:, j])
+        assert abs(abs(np.vdot(a, b)) - mu) < 1e-12, scaled
+        if shape == (8, 6):
+            assert abs(mu - 0.5) < 1e-15
+    B = A.copy()
+    B[:, N // 2] = 0
+    with pytest.raises(ValueError, match="zero column"):
+        analysis._gram_coherence(B)
+
+
 # --- coherence from the masks -------------------------------------------------
 
 def reference_masked_dft_coherence(V: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -248,8 +296,8 @@ def test_mask_rows_must_be_shifted_bases():
     for seed in range(50):
         V = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=(3, 7)))
         A = (V.T[:, :, None] * F[:, None, :]).reshape(7, 21)
-        row0 = np.not_equal.outer([0], np.arange(3))  # block 0 against blocks 1 and 2
-        understated += analysis._masked_dft_coherence(V, [0], row0)[0] < coherence(A) - 1e-12
+        row0 = np.array([0, 0]), np.array([1, 2])  # block 0 against blocks 1 and 2
+        understated += analysis._masked_dft_coherence(V, *row0)[0] < coherence(A) - 1e-12
         with pytest.raises(TypeError, match="mask_rows"):
             SignatureMatrix(A, 21, 1, "cubic", {"L": 7}, mask_rows=V)
         assert coherence(SignatureMatrix(A, 21, 1, "cubic", {"L": 7})) == coherence(A)
@@ -268,7 +316,7 @@ def test_masks_from_random_bases_follow_the_shift_rule(family, L, den, params):
         masks = MaskingSet(family, base, den, None, params)
         assert masks.B == n_bases * L and masks.masks.shape == (masks.B, L)
         u = np.exp(2j * np.pi * base / den)
-        assert np.array_equal(masks.masks[fam.bases(L, params.get("H"), masks.B)], u)
+        assert np.array_equal(masks.masks[every_base(family, L, params.get("H"), masks.B)], u)
         for b in range(masks.B):
             (c,), (s,) = fam.shift_rule(L, params.get("H"), np.array([b]))
             want = u[c] * np.exp(2j * np.pi * s * k * k / L) if fam.chirp else np.roll(u[c], -s)
@@ -290,8 +338,8 @@ def test_hand_built_matrix_takes_the_gram_scan():
     sig = SignatureMatrix(A, 20, 1, "cubic", {"L": 7})
     assert sig.mask_rows is None
     assert coherence(sig) == analysis._gram_coherence(A)[0]
-    row0 = np.not_equal.outer([0], np.arange(len(rows)))
-    assert coherence(sig) > analysis._masked_dft_coherence(rows, [0], row0)[0] + 0.1
+    row0 = np.zeros(len(rows) - 1, int), np.arange(1, len(rows))
+    assert coherence(sig) > analysis._masked_dft_coherence(rows, *row0)[0] + 0.1
     with pytest.raises(TypeError, match="mask_rows"):
         SignatureMatrix(A, 20, 1, "cubic", {"L": 7}, mask_rows=rows)
 
@@ -305,7 +353,12 @@ def test_cubic_L47_all_columns_within_bounds():
     assert abs(abs(np.vdot(sig.entries[:, i], sig.entries[:, j])) - mu) < 1e-12
 
 
-# --- cubic difference classes -------------------------------------------------
+# --- orbit rules: cubic's cube classes, Sidelnikov's Frobenius orbits, trace's block 0 ---
+
+def every_base(family, L, H, n) -> list[int]:
+    """The blocks b < n with s_b = 0, one per base row."""
+    return np.flatnonzero(FAMILIES[family].shift_rule(L, H, np.arange(n))[1] == 0).tolist()
+
 
 def base_block_coherence(V: np.ndarray, bases) -> tuple[float, tuple[int, int]]:
     """Each block in `bases` against every block: the mask path before difference classes."""
@@ -335,7 +388,6 @@ def _check_pair_from_masks(masks, n, mu, pair):
 def test_cubic_difference_classes_match_the_base_block_loop(L):
     masks = gen_cubic_masks(L)
     B = masks.B
-    cubic = FAMILIES["cubic"]
     if L <= 11:
         counts = range(L + 1, B * L + 1)  # every N past one block
     else:  # small regime, a partial last row of blocks, and full capacity
@@ -344,90 +396,188 @@ def test_cubic_difference_classes_match_the_base_block_loop(L):
     for n in counts:
         sig = build_signature_matrix(masks, n, 1)
         blocks = len(sig.mask_rows)
-        assert len(masks.bases(blocks)) <= 2  # the class path, not one base per row of blocks
+        assert len(masks.pairs(blocks)[0]) <= 4  # the class rows, not one base per row of blocks
         mu, pair = coherence(sig, with_pair=True)
         if blocks not in reference:
-            reference[blocks] = base_block_coherence(sig.mask_rows, cubic.bases(L, None, blocks))[0]
+            reference[blocks] = base_block_coherence(sig.mask_rows, every_base("cubic", L, None, blocks))[0]
         assert abs(mu - reference[blocks]) < 1e-12, n
         _check_pair_from_masks(masks, n, mu, pair)
 
 
-def test_difference_classes_of_random_stepped_bases():
-    # random u_0 and step w, u_c = u_0 + c w: the classes hold as for cubic, but their
-    # maxima differ, so a class left out (say, below a partial last row) shows in mu
+def test_random_stepped_bases_take_every_base():
+    # random u_0 and step w, u_c = u_0 + c w: the difference classes hold as for cubic, but
+    # not the cube classes, so such bases pair every base with every block; cubic's own
+    # 4 rows would understate mu in 2 of these 3 seeds
     L = 7
     k = np.arange(L)
+    rule_rows = gen_cubic_masks(L).pairs(L * L)
+    understated = 0
     for seed in range(3):
         u0, w = np.random.default_rng(seed).integers(0, L, size=(2, L))
         masks = MaskingSet("cubic", (u0 + k[:, None] * w) % L, L, None, {"L": L})
-        bases = FAMILIES["cubic"].bases(L, None, masks.B)
+        bases = every_base("cubic", L, None, masks.B)
         reference = {}
         for n in range(L + 1, masks.B * L + 1):
             sig = build_signature_matrix(masks, n, 1)
             blocks = len(sig.mask_rows)
+            assert FAMILIES["cubic"].orbit_rule(masks, blocks) is None, (seed, n)
             mu, pair = coherence(sig, with_pair=True)
             if blocks not in reference:
                 reference[blocks] = base_block_coherence(
                     sig.mask_rows, [c for c in bases if c < blocks])[0]
             assert abs(mu - reference[blocks]) < 1e-12, (seed, n)
             _check_pair_from_masks(masks, n, mu, pair)
+        understated += analysis._masked_dft_coherence(masks.masks, *rule_rows)[0] < mu - 1e-12
+    assert understated == 2
 
 
 def test_cubic_classes_need_stepped_bases():
-    # random base rows do not step by a fixed row: every base block is paired
+    # random base rows: every base block is paired; true cubic bases: block 0 against
+    # block 1 (the chirp row) and block d L for the least step d of each cube class
     L = 7
     base = np.random.default_rng(0).integers(0, L, size=(L, L))
-    assert MaskingSet("cubic", base, L, None, {"L": L}).bases(20) == [0, 7, 14]
+    bases, _ = MaskingSet("cubic", base, L, None, {"L": L}).pairs(20)
+    assert sorted(set(bases.tolist())) == [0, 7, 14]
     masks = gen_cubic_masks(L)
-    assert masks.bases(L * L) == [0]  # full capacity: L^2 - 1 rows
-    assert masks.bases(20) == [0, 14]  # the last row of blocks is partial
-    assert masks.bases(14) == [0]
+    for n, blocks in [(L * L, [1, 7, 14, 21]),  # full capacity: classes of 1, 2 and 3
+                      (20, [1, 7, 14]), (14, [1, 7]), (7, [1]), (2, [1])]:
+        bases, got = masks.pairs(n)
+        assert bases.tolist() == [0] * len(blocks) and got.tolist() == blocks, n
+    assert FAMILIES["cubic"].orbit_rule(gen_cubic_masks(3), 9) is None  # L = 3: every base
 
 
-# --- orbit representatives: trace's block 0, one row per mirror pair ------------
+# --- orbit rules against every base; one row per mirror pair ---------------------
 
 def test_orbit_rows_match_every_base_on_every_instance():
-    # the bound sweep's instances and column counts, against every base paired with every block
-    reports = 0
+    # the bound sweep's instances and column counts (L = 3 and L = 1, 2 mod 3; m = 1, 2, 3,
+    # in the small regime and at full capacity) against every base paired with every block
+    reports, ruled = 0, set()
     for family, kwargs in _bound_sweep_instances():
         masks = build_masks(family, **kwargs)
         L, B, H = masks.L, masks.B, masks.params.get("H")
-        if family == "trace":
-            assert masks.bases(B) == [0]  # the orbit shortcut, not L + 1 bases
         for n in sorted({min(FAMILIES[family].small_columns(L, H), B * L), B * L}):
             sig = build_signature_matrix(masks, n, 1)
             blocks = len(sig.mask_rows)
             if blocks < 2:  # one block: the Gram scan
                 continue
+            rule = (L >= 5 if family == "cubic" else blocks == B if family == "trace"
+                    else family == "sidelnikov" and blocks in (H - 1, B))
+            orbit_rule = FAMILIES[family].orbit_rule
+            assert (orbit_rule is not None and orbit_rule(masks, blocks) is not None) == rule, (
+                family, kwargs, n)
+            bases, others = masks.pairs(blocks)
+            assert (bases < blocks).all() and (others < blocks).all() and (bases != others).all()
+            if family == "cubic" and rule:
+                assert len(bases) <= 4
+                ruled.add(("cubic", L % 3))
+            if family == "sidelnikov" and rule:
+                ruled.add(("sidelnikov", kwargs["m"], blocks == B))
             mu, pair = coherence(sig, with_pair=True)
-            every = FAMILIES[family].bases(L, H, blocks)
+            every = every_base(family, L, H, blocks)
             assert abs(mu - base_block_coherence(sig.mask_rows, every)[0]) < 1e-12, (family, kwargs, n)
             _check_pair_from_masks(masks, n, mu, pair)
             reports += 1
     assert reports == 314  # 332 reports, less the 18 of a single block
+    assert ruled == {("cubic", 1), ("cubic", 2)} | {
+        ("sidelnikov", m, full) for m in (1, 2, 3) for full in (False, True)}
+
+
+@pytest.mark.parametrize("L", [5, 7, 11, 13, 23, 31])
+def test_cubic_rule_keeps_one_row_per_cube_class(L):
+    # every row (block 0, block b) has its cube class's largest |DFT|, a chirp row's are all
+    # sqrt(L) (1 with F unitary), and the rule keeps the least step of each class n blocks hold
+    masks = gen_cubic_masks(L)
+    V, F = masks.masks, dft_matrix(L)
+    rows = np.abs((V * V[0].conj()) @ F)
+    assert np.abs(rows[1:L] - 1).max() < 1e-12
+    cls = {d: pow(d, (L - 1) // math.gcd(3, L - 1), L) for d in range(1, L)}
+    largest = {}
+    for b in range(L, masks.B):
+        largest.setdefault(cls[b // L], []).append(rows[b].max())
+    assert len(largest) == math.gcd(3, L - 1)
+    assert max(max(v) - min(v) for v in largest.values()) < 1e-12
+    for n in range(2, masks.B + 1):
+        bases, blocks = masks.pairs(n)
+        steps = blocks[1:] // L
+        assert bases.tolist() == [0] * len(blocks) and blocks[0] == 1 and (blocks[1:] % L == 0).all()
+        present = {cls[d] for d in range(1, -(-n // L))}
+        assert sorted(cls[d] for d in steps) == sorted(present), n
+        assert all(d == min(e for e in range(1, L) if cls[e] == cls[d]) for d in steps), n
+
+
+def frobenius_orbit(p, m, H, L, triple):
+    """Images of (base a, base a2 shifted by s) under x p^j (rows) with x p^-j (shifts),
+    and under the conjugate mirror (a2, a, -s) of each."""
+    a, a2, s = triple
+    out = set()
+    for j in range(m):
+        x, y, t = (pow(p, j, H) * (a + 1)) % H - 1, (pow(p, j, H) * (a2 + 1)) % H - 1, s * pow(p, -j, L) % L
+        out |= {(x, y, t), (y, x, -t % L)}
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("p,m,H", [(3, 2, 8), (3, 2, 4), (5, 2, 24), (5, 2, 6), (3, 3, 26),
+                                   (3, 3, 13), (7, 1, 6), (7, 2, 16)])
+def test_sidelnikov_rule_keeps_one_row_per_orbit(p, m, H):
+    # each orbit of x p and the mirror, enumerated by brute force, gets exactly one row in the
+    # small regime and at full capacity, and a row's largest |DFT| is its orbit's
+    masks = gen_sidelnikov_masks(p, m, H)
+    L, B, V = masks.L, masks.B, masks.masks
+    F = dft_matrix(L)
+    for n, shifts in ((H - 1, 1), (B, L)):
+        triples = [(a, a2, s) for a in range(H - 1) for a2 in range(H - 1) for s in range(shifts)
+                   if (a, s) != (a2, 0)]
+        orbit = {t: frobenius_orbit(p, m, H, L, t) for t in triples}
+        bases, blocks = masks.pairs(n)
+        got = [orbit[(int(c), int(b) % (H - 1), int(b) // (H - 1))] for c, b in zip(bases, blocks)]
+        assert len(got) == len(set(got)) == len(set(orbit.values())), n
+        a, a2, s = np.array(triples).T
+        largest = dict(zip(triples, np.abs((V[s * (H - 1) + a2] * V[a].conj()) @ F).max(1)))
+        assert max(np.ptp([largest[t] for t in orb]) for orb in set(orbit.values())) < 1e-12
+
+
+def test_sidelnikov_orbits_need_frobenius_rows():
+    # one numerator changed breaks u_l[p k] = u_(p l)[k], so that set pairs every base;
+    # and a prefix between the two regimes is not closed under x p
+    real = gen_sidelnikov_masks(5, 2)
+    L, B, H = real.L, real.B, real.params["H"]
+    bumped = real.base_num.copy()
+    bumped[2, 5] = (bumped[2, 5] + 1) % H
+    masks = MaskingSet("sidelnikov", bumped, H, real.seed, dict(real.params))
+    rule = FAMILIES["sidelnikov"].orbit_rule
+    for n, rows in ((H - 1, 253), (B, 6601)):
+        assert rule(real, n) is not None and rule(masks, n) is None
+        assert len(masks.pairs(n)[0]) == rows
+        sig = build_signature_matrix(masks, n * L, 1)
+        mu, pair = coherence(sig, with_pair=True)
+        assert abs(mu - base_block_coherence(sig.mask_rows, every_base("sidelnikov", L, H, n))[0]) < 1e-12
+        _check_pair_from_masks(masks, n * L, mu, pair)
+    assert rule(real, H) is None and rule(real, B - 1) is None
 
 
 def test_mirror_rows_at_full_capacity():
     # base row r pairs with the blocks of base rows r' >= r, and not with itself
     masks = gen_pr_masks(11, 10)
-    bases = masks.bases(masks.B)
+    bases = every_base("pr", 11, 10, masks.B)
     r = FAMILIES["pr"].shift_rule(11, 10, np.arange(masks.B))[0]
     expected = (r >= r[bases, None]) & np.not_equal.outer(bases, np.arange(masks.B))
-    assert np.array_equal(masks.partners(bases, masks.B), expected)
+    i, b = np.nonzero(expected)
+    got = masks.pairs(masks.B)
+    assert got[0].tolist() == np.array(bases)[i].tolist() and got[1].tolist() == b.tolist()
     assert expected.sum() == sum((9 - i) * 11 - 1 for i in range(9))  # 449 of 9 * 98 rows
 
 
-def test_mirror_rows_of_a_subset_of_bases():
-    # a row is dropped only for a mirror row the given bases compute: random pr bases,
-    # two of them, every N, and the rows kept still hold those two bases' maximum
+def test_mirror_rows_of_random_bases_at_every_prefix():
+    # a row is dropped only for a mirror row among the first n blocks: random pr bases,
+    # every N, and the rows kept still hold every base's maximum
     L, H = 11, 10
     for seed in range(3):
         base = np.random.default_rng(seed).integers(0, H, size=(H - 1, L))
         masks = MaskingSet("pr", base, H, None, {"L": L, "H": H})
-        for n in range(5, masks.B + 1):
-            bases = [1, 4]
-            mu = analysis._masked_dft_coherence(masks.masks[:n], bases, masks.partners(bases, n))
-            assert abs(mu[0] - base_block_coherence(masks.masks[:n], bases)[0]) < 1e-12, (seed, n)
+        for n in range(2, masks.B + 1):
+            mu = analysis._masked_dft_coherence(masks.masks[:n], *masks.pairs(n))
+            every = every_base("pr", L, H, n)
+            assert abs(mu[0] - base_block_coherence(masks.masks[:n], every)[0]) < 1e-12, (seed, n)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -437,19 +587,21 @@ def test_trace_block_zero_needs_trace_rows(p):
     # block 0 alone understates mu, so such sets pair every base with every block
     real = gen_trace_masks(p, 2)
     L, B = real.L, real.B
-    every = FAMILIES["trace"].bases(L, None, B)
-    assert real.bases(B) == [0] and real.bases(B - 1) == every
+    every = every_base("trace", L, None, B)
+    row0 = np.zeros(B - 1, int), np.arange(1, B)
+    assert all(np.array_equal(got, want) for got, want in zip(real.pairs(B), row0))
+    assert FAMILIES["trace"].orbit_rule(real, B - 1) is None
     bumped = real.base_num.copy()
     bumped[1, 0] = (bumped[1, 0] + 1) % p  # theta = 1, k = 0
     t = np.random.default_rng(p).integers(0, p, L)
     for masks in (MaskingSet("trace", bumped, p, real.seed, dict(real.params)),
                   MaskingSet("trace", trace_bases(t, p), p, t, dict(real.params))):
-        assert masks.bases(B) == every
+        assert FAMILIES["trace"].orbit_rule(masks, B) is None
+        assert sorted(set(masks.pairs(B)[0].tolist())) == every
         sig = build_signature_matrix(masks, B * L, 1)
         mu, pair = coherence(sig, with_pair=True)
         assert abs(mu - base_block_coherence(masks.masks, every)[0]) < 1e-12
-        row0 = np.not_equal.outer([0], np.arange(B))
-        assert mu > analysis._masked_dft_coherence(masks.masks, [0], row0)[0] + 1e-3
+        assert mu > analysis._masked_dft_coherence(masks.masks, *row0)[0] + 1e-3
         if p == 3:  # q = 9: 576 columns
             assert abs(mu - analysis._gram_coherence(sig.entries)[0]) < 1e-12
         _check_pair_from_masks(masks, B * L, mu, pair)
@@ -458,6 +610,24 @@ def test_trace_block_zero_needs_trace_rows(p):
 # --- verify from the masks alone ---------------------------------------------
 
 VERIFY_CASES = VERIFY_GRID + [case for case in VERIFY_GRID_QUICK if case not in VERIFY_GRID]
+# |DFT| rows each verify instance computes in the small regime and at full capacity; pr
+# pairs every base, less mirrors (every base against every block took 6 and 48, 10 and 120,
+# 22 and 528 rows for cubic 7, 11 and 23; 253 and 6,601, and 300 and 8,425, for
+# Sidelnikov (5, 2) and (3, 3))
+VERIFY_ROWS = {"cubic-7": (1, 4), "cubic-11": (1, 2), "cubic-23": (1, 2),
+               "pr-11-10": (36, 486), "pr-23-22": (210, 5292),
+               "sidelnikov-5-2": (133, 3216), "sidelnikov-3-3": (100, 2709),
+               "sidelnikov-3-2": (12, 105), "trace-5-2": (23, 599), "trace-3-3": (25, 701),
+               "trace-3-2": (7, 71)}
+
+
+def test_orbit_rule_rows_on_the_verify_grid():
+    for family, kwargs in VERIFY_CASES:
+        masks = build_masks(family, **kwargs)
+        L, B, H = masks.L, masks.B, masks.params.get("H")
+        small = -(-min(FAMILIES[family].small_columns(L, H), B * L) // L)  # blocks
+        key = "-".join([family, *map(str, kwargs.values())])
+        assert (len(masks.pairs(small)[0]), len(masks.pairs(B)[0])) == VERIFY_ROWS[key], key
 
 
 @pytest.mark.parametrize("family,kwargs", VERIFY_CASES,

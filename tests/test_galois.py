@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from gfsig.galois import (ExtField, PrimeField, build_ext_field, find_primitive_root,
-                          is_prime, primitive_polynomials)
+from gfsig.galois import (ExtField, PrimeField, _primitive_polys, build_ext_field,
+                          find_primitive_root, is_prime)
+
+
+def primitive_polynomials(p: int, m: int) -> list[tuple[int, ...]]:
+    """Every monic primitive polynomial of degree m over GF(p), in ExtField's search order."""
+    return [poly for poly, _ in _primitive_polys(p, m)]
 
 
 def digits(f, c):

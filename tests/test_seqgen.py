@@ -7,7 +7,7 @@ from gfsig import analysis
 from gfsig.analysis import coherence
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK
 from gfsig.experiments import build_masks, gen_random_family
-from gfsig.galois import build_ext_field, primitive_polynomials
+from gfsig.galois import _primitive_polys, build_ext_field
 from gfsig.seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, RANDOM_FAMILIES, MaskingSet,
                           build_signature_matrix, dft_matrix, gen_cubic_masks, gen_pr_masks,
                           gen_sidelnikov_masks, gen_trace_masks, mask_block,
@@ -135,7 +135,7 @@ def test_trace_rejects_even_characteristic():
 
 def test_seed_functions_under_polynomial_search():
     # some primitive polynomial of GF(25) reproduces each published row
-    polys = primitive_polynomials(5, 2)
+    polys = [poly for poly, _ in _primitive_polys(5, 2)]
     sid_hits = [p for p in polys
                 if sidelnikov_seed(build_ext_field(5, 2, p), 24).tolist() == SID_SEED]
     tr_hits = [p for p in polys
@@ -203,12 +203,18 @@ def test_block_orthonormality_sampled():
             assert np.abs(blk.conj().T @ blk - np.eye(masks.L)).max() < 1e-10
 
 
+def device_columns(sig, n: int) -> slice:
+    """Column slice of device n (0-based): devices hold contiguous groups of Q columns."""
+    q = sig.q_per_device
+    return slice(n * q, (n + 1) * q)
+
+
 def test_signature_matrix_basics():
     masks = gen_cubic_masks(23)
     sig = build_signature_matrix(masks, 132, 4)
     assert sig.entries.shape == (23, 528)
     assert np.abs(np.linalg.norm(sig.entries, axis=0) - 1).max() < 1e-12
-    assert sig.device_columns(3) == slice(12, 16)
+    assert device_columns(sig, 3) == slice(12, 16)
     # column  b*L + l  is  v_b odot F[:, l]
     F = dft_matrix(23)
     assert np.allclose(sig.entries[:, 23 + 2], masks.masks[1] * F[:, 2])
