@@ -146,9 +146,6 @@ class MlCondition:
     threshold: float
     success_probability: float
 
-    def __bool__(self) -> bool:
-        return self.satisfied
-
 
 def ml_coherence_condition(mu: float, K: int, delta: int) -> MlCondition:
     """True iff mu < 1/sqrt(K + delta - 1), strict inequality.

@@ -182,7 +182,7 @@ def cmd_bench(args) -> int:
     for kind in kinds:
         rng = trial_rng(args.seed, PURPOSE_GEN)
         sig = gen_random_family(kind, args.L, args.N, trials=args.trials, rng=rng)
-        print(f"{kind}: coherence {sig.meta['coherence']:.6f}")
+        print(f"{kind}: coherence {coherence(sig):.6f}")
     return 0
 
 

@@ -43,19 +43,6 @@ class AmpEstimate:
     diverged: bool = False
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    indicators_hat: np.ndarray  # (N_d, Q), each row all-zero or one-hot
-    statistic: np.ndarray  # (N_d,) per-device max statistic
-    q_hat: np.ndarray  # (N_d,) argmax symbol index (0-based)
-
-
-@dataclass(frozen=True)
-class DetectionErrors:
-    per_device: np.ndarray  # (N_d,) bool
-    p_e: float
-
-
 def covariance_objective(S_scaled: np.ndarray, gamma: np.ndarray, sigma_w2: float,
                          Sigma_hat: np.ndarray) -> float:
     """Direct evaluation of log|Sigma| + tr(Sigma^-1 Sigma_hat)."""
@@ -67,11 +54,12 @@ def covariance_objective(S_scaled: np.ndarray, gamma: np.ndarray, sigma_w2: floa
 
 # Most coordinate steps a block evaluates in one matmul.
 CDML_BLOCK = 16
+# Sweeps between from-scratch inverse recomputations, guarding drift of the rank-one updates.
+CDML_REFRESH = 5
 
 
 def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
                   sweeps: int = SWEEPS, *, rng: np.random.Generator,
-                  refresh_every: int = 5,
                   record_update_objective: bool = False) -> MLEstimate:
     """Coordinate-descent fit of per-signature powers to the sample covariance.
 
@@ -81,8 +69,6 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
         sigma_w2: noise variance (> 0)
         sweeps:   full passes over the N coordinates, each in a fresh
                   random permutation
-        refresh_every: sweeps between from-scratch inverse recomputations,
-                  guarding drift of the rank-one updates
         record_update_objective: evaluate the objective directly after every
                   coordinate step (slow; for verification)
 
@@ -155,7 +141,7 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
                     current = covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat)
                 update_objs.append(current)
             pos = j + 1
-        if (sweep + 1) % refresh_every == 0 and sweep + 1 < sweeps:
+        if (sweep + 1) % CDML_REFRESH == 0 and sweep + 1 < sweeps:
             Sigma = (S_scaled * gamma) @ S_scaled.conj().T + sigma_w2 * np.eye(L)
             C[:L] = np.linalg.inv(Sigma)
             C[L:] = Sigma_hat @ C[:L] - np.eye(L)
@@ -171,18 +157,18 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
     )
 
 
-def _decide(stat: np.ndarray, xi_th: float) -> DetectionResult:
-    # stat is (N_d, Q); ties break toward the smallest symbol index
+def _decide(stat: np.ndarray, xi_th: float) -> np.ndarray:
+    # stat is (N_d, Q), and so are the decided indicators, each row all-zero or one-hot;
+    # ties break toward the smallest symbol index
     q_hat = np.argmax(stat, axis=1)
-    xi = stat[np.arange(stat.shape[0]), q_hat]
+    on = stat[np.arange(stat.shape[0]), q_hat] >= xi_th
     indicators = np.zeros(stat.shape, dtype=np.int8)
-    on = xi >= xi_th
     indicators[np.flatnonzero(on), q_hat[on]] = 1
-    return DetectionResult(indicators, xi, q_hat)
+    return indicators
 
 
 def cdml_decide(gamma_hat: np.ndarray, n_devices: int, q_per_device: int,
-                xi_th: float = XI_TH) -> DetectionResult:
+                xi_th: float = XI_TH) -> np.ndarray:
     """Per device: active with symbol q = argmax gamma_q iff that gamma_q >= xi_th."""
     gamma_hat = np.asarray(gamma_hat)
     if gamma_hat.size != n_devices * q_per_device:
@@ -191,7 +177,7 @@ def cdml_decide(gamma_hat: np.ndarray, n_devices: int, q_per_device: int,
 
 
 def amp_decide(X_hat: np.ndarray, n_devices: int, q_per_device: int,
-               xi_th: float = XI_TH) -> DetectionResult:
+               xi_th: float = XI_TH) -> np.ndarray:
     """Per device: active iff its largest ||x_n^(q)||^2 / M over q is >= xi_th."""
     X_hat = np.asarray(X_hat)
     if X_hat.shape[0] != n_devices * q_per_device:
@@ -305,11 +291,8 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, 
     return AmpEstimate(X / norms[:, None], it, np.asarray(res_trace), diverged)
 
 
-def error_metric(activity, result: DetectionResult) -> DetectionErrors:
-    """Per-device error indicators: wrong if any indicator position differs."""
-    truth = np.asarray(getattr(activity, "indicators", activity))
-    est = result.indicators_hat
-    if truth.shape != est.shape:
+def error_metric(truth: np.ndarray, decided: np.ndarray) -> np.ndarray:
+    """(N_d,) per-device error flags: wrong if any indicator position differs."""
+    if truth.shape != decided.shape:
         raise ValueError("activity and decision shapes disagree")
-    e = np.any(truth != est, axis=1)
-    return DetectionErrors(e, float(e.mean()))
+    return np.any(truth != decided, axis=1)

@@ -35,11 +35,12 @@ DETECTORS = {
                "sigma_w2": "[0, inf)"},
 }
 # config key -> interval, as in DETECTORS, for every config and each grid entry; gen_trials
-# is read by the random families only and is at its default elsewhere; base_seed keys trial_rng;
+# is read by the random families only and is at its default elsewhere; base_seed, each M and
+# each trial index (0 to trials - 1) key trial_rng, whose keys lie below 2**32;
 # each K lies in [0, N_d], and below N_d Q under MMV-AMP, whose activity prior K / (N_d Q)
 # must stay below 1: an interval validate_config builds per config
-RANGES = {"N_d": "[1, inf)", "Q": "[1, inf)", "M": "[1, inf)", "trials": "[1, inf)",
-          "gen_trials": "[1, inf)", "base_seed": "[0, 4294967296)"}
+RANGES = {"N_d": "[1, inf)", "Q": "[1, inf)", "M": "[1, 4294967296)",
+          "trials": "[1, 4294967296]", "gen_trials": "[1, inf)", "base_seed": "[0, 4294967296)"}
 WORKERS_ENV = "GFSIG_WORKERS"
 GEN_TRIALS = 10  # best-of draws of a random family; ExperimentConfig's and the CLI's default too
 
@@ -203,7 +204,7 @@ def gen_random_family(kind: str, L: int, N: int, trials: int = GEN_TRIALS, *,
 
     Candidates are drawn by the family's `draw` (i.i.d. per entry: complex Gaussian, the
     9-point MUSA constellation, or QPSK), column-normalized, and the draw with the lowest
-    coherence is kept. One column has no pair to rank: the first draw is kept, coherence 0.
+    coherence is kept. One column has no pair to rank: the first draw is kept.
     """
     draw = FAMILIES[kind].draw if kind in FAMILIES else None
     if draw is None:
@@ -219,8 +220,7 @@ def gen_random_family(kind: str, L: int, N: int, trials: int = GEN_TRIALS, *,
         mu = coherence(A) if N > 1 else 0.0
         if mu < best_mu:
             best, best_mu = A, mu
-    return SignatureMatrix(best, N // q_per_device, q_per_device, kind, {"L": L},
-                           {"trials": trials, "coherence": best_mu})
+    return SignatureMatrix(best, N // q_per_device, q_per_device, kind, {"L": L})
 
 
 def build_signatures(cfg: ExperimentConfig) -> SignatureMatrix:
@@ -235,7 +235,7 @@ def build_signatures(cfg: ExperimentConfig) -> SignatureMatrix:
 
 def draw_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
                n_antennas: int, sigma_w2: float, base_seed: int, trial: int):
-    """Draws of one trial: (activity, channel rows H (one per device), Y, detector rng).
+    """Draws of one trial: (indicators, channel rows H (one per device), Y, detector rng).
 
     Stream keys omit the family and detector so that runs over different
     signature sets see identical activity, channel, and noise draws.
@@ -251,19 +251,19 @@ def draw_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,
 def run_trial(cfg: ExperimentConfig, S: np.ndarray, k_active: int, n_antennas: int,
               trial: int) -> tuple[float, bool]:
     """One trial of draw_trial's draws, sized, tuned and seeded by cfg; returns (P_e, diverged)."""
-    activity, _, Y, rng = draw_trial(S, cfg.n_devices, cfg.q_per_device, k_active,
-                                     n_antennas, cfg.sigma_w2, cfg.base_seed, trial)
+    truth, _, Y, rng = draw_trial(S, cfg.n_devices, cfg.q_per_device, k_active,
+                                  n_antennas, cfg.sigma_w2, cfg.base_seed, trial)
     S_scaled = np.sqrt(S.shape[0]) * S
     if cfg.detector == "cdml":
         est = cdml_estimate(Y, S_scaled, cfg.sigma_w2, sweeps=cfg.sweeps, rng=rng)
-        decision = cdml_decide(est.gamma_hat, cfg.n_devices, cfg.q_per_device, xi_th=cfg.xi_th)
-        return error_metric(activity, decision).p_e, False
+        decided = cdml_decide(est.gamma_hat, cfg.n_devices, cfg.q_per_device, xi_th=cfg.xi_th)
+        return float(error_metric(truth, decided).mean()), False
     if cfg.detector != "mmvamp":
         raise ValueError(f"unknown detector {cfg.detector!r}")
     rate = k_active / (cfg.n_devices * cfg.q_per_device)
     est = mmv_amp_estimate(Y, S_scaled, rate, max_iters=cfg.max_iters, damping=cfg.damping)
-    decision = amp_decide(est.X_hat, cfg.n_devices, cfg.q_per_device, xi_th=cfg.xi_th)
-    return error_metric(activity, decision).p_e, est.diverged
+    decided = amp_decide(est.X_hat, cfg.n_devices, cfg.q_per_device, xi_th=cfg.xi_th)
+    return float(error_metric(truth, decided).mean()), est.diverged
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,6 @@ class ResultRow:
     p_e: float
     p_e_stderr: float
     seconds: float
-    divergence_rate: float = 0.0  # not serialized; surfaced as a warning
 
     def csv_row(self) -> str:
         h = "" if self.H is None else str(self.H)
@@ -331,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             row = ResultRow(cfg.family, sig.L, sig.params.get("H"), cfg.n_devices,
                             cfg.q_per_device, k_active, n_antennas, cfg.detector,
                             cfg.trials, float(p_es.mean()), stderr,
-                            time.perf_counter() - start, div_rate)
+                            time.perf_counter() - start)
             rows.append(row)
             if div_rate > 0.5 and warn is not None:
                 warn(f"divergence rate {div_rate:.0%} at K={k_active}, M={n_antennas}")

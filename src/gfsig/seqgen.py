@@ -267,7 +267,6 @@ class SignatureMatrix:
     q_per_device: int
     family: str
     params: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
     masks: MaskingSet | None = field(default=None, init=False)
 
     @property

@@ -10,8 +10,6 @@ order-independent under parallel execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PURPOSE_ACTIVITY = 1
@@ -44,21 +42,12 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-@dataclass(frozen=True)
-class ActivityPattern:
-    """Per-device indicator vectors, each all-zero or one-hot."""
-
-    indicators: np.ndarray  # (N_d, Q) of {0, 1}
-    active_set: np.ndarray  # sorted device indices with a nonzero indicator
-
-    @property
-    def k(self) -> int:
-        return self.active_set.size
-
-
 def draw_activity(n_devices: int, k_active: int, q_per_device: int,
-                  rng: np.random.Generator) -> ActivityPattern:
-    """Uniform K-subset of active devices, each picking a symbol uniformly."""
+                  rng: np.random.Generator) -> np.ndarray:
+    """Uniform K-subset of active devices, each picking a symbol uniformly.
+
+    Returns the (N_d, Q) int8 indicators: each row all-zero or one-hot.
+    """
     if not 0 <= k_active <= n_devices:
         raise ValueError(f"need 0 <= K <= N_d, got K={k_active}, N_d={n_devices}")
     if q_per_device < 1:
@@ -68,7 +57,7 @@ def draw_activity(n_devices: int, k_active: int, q_per_device: int,
     if k_active:
         qs = rng.integers(0, q_per_device, size=k_active)
         indicators[active, qs] = 1
-    return ActivityPattern(indicators, active)
+    return indicators
 
 
 def draw_channel(n_devices: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,21 +67,21 @@ def draw_channel(n_devices: int, n_antennas: int, rng: np.random.Generator) -> n
     return complex_normal(rng, (n_devices, n_antennas))
 
 
-def synthesize(S: np.ndarray, activity: ActivityPattern, H: np.ndarray, sigma_w2: float,
+def synthesize(S: np.ndarray, activity: np.ndarray, H: np.ndarray, sigma_w2: float,
                rng: np.random.Generator) -> np.ndarray:
     """Y = sqrt(L) S Gamma^(1/2) H + W, (L, M), for unit-norm signature columns.
 
-    H holds one row per device (draw_channel's); column n Q + q of S sends
-    on row n. Columns are rescaled to norm sqrt(L) here, never in the stored
-    matrix.
+    activity holds draw_activity's (N_d, Q) indicators and H one row per
+    device (draw_channel's); column n Q + q of S sends on row n. Columns are
+    rescaled to norm sqrt(L) here, never in the stored matrix.
     """
     L, N = S.shape
-    n_devices, q_per_device = activity.indicators.shape
+    n_devices, q_per_device = activity.shape
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be >= 0")
-    if N != activity.indicators.size or H.shape[0] != n_devices:
+    if N != activity.size or H.shape[0] != n_devices:
         raise ValueError("shape mismatch between signatures, activity, and channel")
-    act = np.flatnonzero(activity.indicators)
+    act = np.flatnonzero(activity)
     Y = (np.sqrt(L) * S[:, act]) @ H[act // q_per_device]
     if sigma_w2 > 0:
         Y = Y + complex_normal(rng, (L, H.shape[1]), var=sigma_w2)

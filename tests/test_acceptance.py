@@ -168,14 +168,13 @@ def cdml_trial_margins(S, n_devices, q_per_device, k_active, n_antennas,
     threshold-and-argmax decision recovers every device, so each trial with
     an error has lo < xi_th or hi >= xi_th.
     """
-    activity, _, Y, rng = draw_trial(S, n_devices, q_per_device, k_active, n_antennas,
-                                     sigma_w2, base_seed, trial)
+    truth, _, Y, rng = draw_trial(S, n_devices, q_per_device, k_active, n_antennas,
+                                  sigma_w2, base_seed, trial)
     est = cdml_estimate(Y, np.sqrt(S.shape[0]) * S, sigma_w2,
                         sweeps=CDML.sweeps, rng=rng)
-    decision = cdml_decide(est.gamma_hat, n_devices, q_per_device,
-                           xi_th=CDML.xi_th)
-    sent = activity.indicators.reshape(-1).astype(bool)
-    return (error_metric(activity, decision).p_e,
+    decided = cdml_decide(est.gamma_hat, n_devices, q_per_device, xi_th=CDML.xi_th)
+    sent = truth.reshape(-1).astype(bool)
+    return (float(error_metric(truth, decided).mean()),
             est.gamma_hat[sent].min(), est.gamma_hat[~sent].max())
 
 

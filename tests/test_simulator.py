@@ -5,7 +5,7 @@ from gfsig.experiments import draw_trial
 from gfsig.seqgen import build_signature_matrix, gen_cubic_masks
 from gfsig.simulator import (PURPOSE_ACTIVITY, PURPOSE_CHANNEL,
                              PURPOSE_DETECTOR, PURPOSE_GEN, PURPOSE_NOISE,
-                             ActivityPattern, complex_normal, draw_activity, draw_channel,
+                             complex_normal, draw_activity, draw_channel,
                              synthesize, trial_rng)
 
 
@@ -48,19 +48,17 @@ def test_complex_normal_unit_power():
 def test_draw_activity_structure():
     rng = trial_rng(0, PURPOSE_ACTIVITY)
     act = draw_activity(200, 20, 4, rng)
-    assert act.indicators.shape == (200, 4)
-    assert act.k == 20
-    row_sums = act.indicators.sum(axis=1)
+    assert act.shape == (200, 4) and act.dtype == np.int8
+    row_sums = act.sum(axis=1)
     assert np.count_nonzero(row_sums) == 20
     assert row_sums.max() == 1  # at most one-hot
-    assert np.array_equal(np.flatnonzero(row_sums), act.active_set)
 
 
 def test_draw_activity_edges():
     rng = np.random.default_rng(1)
-    assert draw_activity(10, 0, 3, rng).indicators.sum() == 0
+    assert draw_activity(10, 0, 3, rng).sum() == 0
     full = draw_activity(10, 10, 1, rng)
-    assert np.all(full.indicators == 1)
+    assert np.all(full == 1)
     with pytest.raises(ValueError):
         draw_activity(10, 11, 2, rng)
 
@@ -76,7 +74,7 @@ def test_draw_channel_one_row_per_device():
         for q in range(4):
             indicators = np.zeros((30, 4), dtype=np.int8)
             indicators[n, q] = 1
-            Y = synthesize(S, ActivityPattern(indicators, np.array([n])), H, 0.0, None)
+            Y = synthesize(S, indicators, H, 0.0, None)
             assert np.allclose(Y, np.sqrt(7) * np.outer(S[:, 4 * n + q], H[n]))
 
 
@@ -95,7 +93,7 @@ def test_draw_trial_y_unchanged():
     # row over its Q slots; one row per device must leave it unchanged (1e-12: BLAS margin)
     S = build_signature_matrix(gen_cubic_masks(7), 30, 2).entries
     activity, H, Y, _ = draw_trial(S, 30, 2, 3, 4, 0.1, 5, 0)
-    assert activity.active_set.tolist() == [9, 12, 27] and H.shape == (30, 4)
+    assert np.flatnonzero(activity.any(axis=1)).tolist() == [9, 12, 27] and H.shape == (30, 4)
     np.testing.assert_allclose(Y[0], [3.426826438023992 - 1.6811326085009093j,
                                       -1.0928506029737097 - 0.13982199359788028j,
                                       1.3387639997126342 + 1.4725374790709402j,
@@ -123,9 +121,7 @@ def test_synthesize_single_device_rank_one():
     H = draw_channel(30, 1, rng=np.random.default_rng(8))
     Y = synthesize(sig.entries, act, H, 0.0, np.random.default_rng(9))
     H = H[np.arange(30 * 2) // 2]
-    n = act.active_set[0]
-    q = int(np.argmax(act.indicators[n]))
-    col = 2 * n + q
+    (col,) = np.flatnonzero(act)
     expected = np.sqrt(7) * np.outer(sig.entries[:, col], H[col])
     assert np.allclose(Y, expected)
     assert np.linalg.matrix_rank(Y) == 1
