@@ -53,7 +53,7 @@ def covariance_objective(S_scaled: np.ndarray, gamma: np.ndarray, sigma_w2: floa
 
 
 # Most coordinate steps a block evaluates in one matmul.
-CDML_BLOCK = 16
+CDML_BLOCK = 32
 # Sweeps between from-scratch inverse recomputations, guarding drift of the rank-one updates.
 CDML_REFRESH = 5
 
@@ -65,7 +65,7 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
 
     Inputs
         Y:        (L, M) received block
-        S_scaled: (L, N) signatures with columns of norm sqrt(L)
+        S_scaled: (L, N) signatures with columns of norm sqrt(L), none zero
         sigma_w2: noise variance (> 0)
         sweeps:   full passes over the N coordinates, each in a fresh
                   random permutation
@@ -84,12 +84,14 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
     * each coordinate is visited once per sweep, so its gamma when visited
       is its gamma at the start of the sweep.
     A block of up to CDML_BLOCK steps ends with the first coordinate already
-    in the support (gamma > 0 at the start of the sweep). Keeping
-    C = [A; Sigma_hat A - I], one matmul U = C S_block gives t = A s over
-    Sigma_hat t - s for the whole block, and Re t^H (Sigma_hat t - s) is the
-    numerator of delta. A zero-gamma step moves iff that numerator is > 0;
-    the block's first moving step is applied as a rank-one update of C and
-    evaluation resumes right after it.
+    in the support (gamma > 0 at the start of the sweep). Each sweep gathers
+    the signatures, in visiting order, as the rows of G. Keeping
+    D = C^T with C = [A; Sigma_hat A], one matmul G_block D gives the rows
+    [t; Sigma_hat t], t = A s, for the whole block, and two row-wise dot
+    products give a = Re s^H t and q = Re t^H Sigma_hat t, so that
+    delta = (q - a) / a^2. A zero-gamma step moves iff q > a; the block's
+    first moving step is applied as a rank-one update of D and evaluation
+    resumes right after it.
     """
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
@@ -97,12 +99,15 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
         raise ValueError("sweeps must be >= 1")
     if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(S_scaled))):
         raise ValueError("non-finite inputs")
+    if np.any(np.linalg.norm(S_scaled, axis=0) < 1e-300):
+        raise ValueError("signature matrix has a zero column")
     L, M = Y.shape
     N = S_scaled.shape[1]
     Sigma_hat = (Y @ Y.conj().T) / M
     gamma = np.zeros(N)
-    C = np.concatenate([np.eye(L), Sigma_hat]) / sigma_w2  # A = I / sigma_w2
-    C[L:] -= np.eye(L)
+    D = np.concatenate([np.eye(L), Sigma_hat.T], axis=1) / sigma_w2  # A = I / sigma_w2
+    ST = np.ascontiguousarray(S_scaled.T)
+    G = np.empty_like(ST)
     objective = []
     update_objs = [] if record_update_objective else None
     current = (covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat)
@@ -110,7 +115,7 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
 
     for sweep in range(sweeps):
         perm = rng.permutation(N)
-        S_perm = S_scaled[:, perm]
+        np.take(ST, perm, axis=0, out=G)
         g_perm = gamma[perm]  # gamma of each coordinate when visited
         # next_in[p]: first position >= p whose coordinate is in the support
         next_in = np.where(g_perm > 0, np.arange(N), N)
@@ -120,20 +125,20 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
         pos = 0
         while pos < N:
             end = min(pos + CDML_BLOCK, next_in[pos] + 1, N)
-            U = C @ S_perm[:, pos:end]
-            num = np.vecdot(U[:L], U[L:], axis=0).real
-            # first step that moves: a positive numerator, else the last step
-            k = int((num > 0).argmax())
-            if num[k] <= 0.0:
-                k = end - pos - 1
+            Gb = G[pos:end]
+            UT = Gb @ D  # row k: [t; Sigma_hat t] of step pos + k
+            T = UT[:, :L]
+            a = np.vecdot(Gb, T).real.tolist()
+            q = np.vecdot(T, UT[:, L:]).real.tolist()
+            # first step that moves, else the last step
+            k, last = 0, end - pos - 1
+            while k < last and q[k] <= a[k]:
+                k += 1
             j = pos + k
-            t = U[:L, k]
-            a = np.vdot(S_perm[:, j], t).real
-            d = max(num[k] / (a * a), -g_perm[j])
+            ak = a[k]
+            d = max((q[k] - ak) / (ak * ak), -g_perm[j])
             if d != 0.0:
-                u = U[:, k].copy()
-                u[L:] += S_perm[:, j]  # [t; Sigma_hat t]
-                C -= u[:, None] * ((d / (1.0 + d * a)) * t.conj())
+                D -= ((d / (1.0 + d * ak)) * T[k].conj())[:, None] * UT[k]
                 gamma[perm[j]] += d
             if record_update_objective:
                 update_objs.extend([current] * k)
@@ -143,17 +148,18 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
             pos = j + 1
         if (sweep + 1) % CDML_REFRESH == 0 and sweep + 1 < sweeps:
             Sigma = (S_scaled * gamma) @ S_scaled.conj().T + sigma_w2 * np.eye(L)
-            C[:L] = np.linalg.inv(Sigma)
-            C[L:] = Sigma_hat @ C[:L] - np.eye(L)
-        _, logdet_inv = np.linalg.slogdet(C[:L])
-        objective.append(float(-logdet_inv + np.trace(C[L:]).real + L))
+            A = np.linalg.inv(Sigma)
+            D[:, :L] = A.T
+            D[:, L:] = (Sigma_hat @ A).T
+        _, logdet_inv = np.linalg.slogdet(D[:, :L])
+        objective.append(float(-logdet_inv + np.trace(D[:, L:]).real))
 
     return MLEstimate(
         gamma,
         np.asarray(objective),
         sweeps,
         None if update_objs is None else np.asarray(update_objs),
-        C[:L].copy(),
+        D[:, :L].T.copy(),
     )
 
 

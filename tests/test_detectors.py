@@ -46,6 +46,12 @@ def test_cdml_input_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         cdml_estimate(bad, S_scaled, 0.1, rng=rng)
+    # a zero column gave all-NaN gamma whenever it ended a block (detector seeds 0 and 1)
+    Y, S_scaled, _ = random_instance(np.random.default_rng(13), L=8, N=10, M=16, K=3)
+    S_scaled[:, 3] = 0
+    for seed in (0, 1):
+        with pytest.raises(ValueError, match="zero column"):
+            cdml_estimate(Y, S_scaled, 0.1, sweeps=3, rng=np.random.default_rng(seed))
 
 
 def test_cdml_gamma_nonnegative_and_objective_monotone():
@@ -203,6 +209,29 @@ def test_cdml_matches_reference_loop(case, monkeypatch):
         p_e.append(error_metric(truth, mine).mean())
     if case == "cubic-K20-M4":
         assert max(p_e) > 0  # the decisions that must agree include wrong ones
+
+
+@pytest.mark.parametrize("block", [1, 5, 10**6])
+@pytest.mark.parametrize("case", ["cubic-K40-M192", "qpsk"])
+def test_cdml_block_only_groups_evaluations(case, block, monkeypatch):
+    # CDML_BLOCK = 1 evaluates every step alone; 10**6 lets only the support end a block.
+    # Block sizes change only the rounding of the matmul: on the qpsk instances every float64
+    # fit, the reference loop's included, is up to 7.5e-13 * max gamma from an extended-precision
+    # run, so two block sizes may differ by twice that
+    instances, kwargs = ORACLE_CASES[case]
+    sweeps = kwargs.get("sweeps", detectors.SWEEPS)
+    for Y, S_scaled, truth, rng in instances():
+        state = rng.bit_generator.state
+        default = cdml_estimate(Y, S_scaled, 0.1, sweeps=sweeps, rng=rng)
+        rng.bit_generator.state = state
+        with monkeypatch.context() as m:
+            m.setattr(detectors, "CDML_BLOCK", block)
+            est = cdml_estimate(Y, S_scaled, 0.1, sweeps=sweeps, rng=rng)
+        assert (np.abs(est.gamma_hat - default.gamma_hat).max()
+                <= 1e-11 * default.gamma_hat.max())
+        n_devices, Q = truth.shape
+        assert np.array_equal(cdml_decide(est.gamma_hat, n_devices, Q),
+                              cdml_decide(default.gamma_hat, n_devices, Q))
 
 
 def test_covariance_objective_matches_trace_form():
