@@ -159,13 +159,6 @@ def ml_coherence_condition(mu: float, K: int, delta: int) -> MlCondition:
     return MlCondition(mu < threshold, threshold, 1.0 - 2.0 ** (-delta))
 
 
-def negative_fraction(x: np.ndarray) -> float:
-    """Fraction of negative entries among entries with |x_i| > SIGN_TOL * max|x|."""
-    ax = np.abs(x)
-    mask = ax > SIGN_TOL * ax.max()
-    return float(np.count_nonzero(x[mask] < 0) / np.count_nonzero(mask))
-
-
 @dataclass(frozen=True)
 class SignRatioReport:
     ratio: float  # nan when the null space is empty
@@ -197,7 +190,9 @@ def null_space_sign_ratio(S, num_samples: int = 1000, *,
         return SignRatioReport(float("nan"), 0, 0)
     G = rng.standard_normal((d, num_samples))
     X = basis @ G
-    ratios = [negative_fraction(X[:, j]) for j in range(num_samples)]
+    ax = np.abs(X)
+    nonzero = ax > SIGN_TOL * ax.max(axis=0)  # per sample column
+    ratios = np.count_nonzero(nonzero & (X < 0), axis=0) / np.count_nonzero(nonzero, axis=0)
     return SignRatioReport(float(np.mean(ratios)), d, num_samples)
 
 

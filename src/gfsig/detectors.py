@@ -276,11 +276,8 @@ def mmv_amp_estimate(Y: np.ndarray, S_scaled: np.ndarray, activity_rate: float, 
         # damped updates, in place: X <- damping X + (1 - damping) eta(Z) and
         # V <- damping V + (1 - damping) (Y - A X + b V)
         Z *= (keep * shrink)[:, None]
-        if damping > 0:
-            X *= damping
-            X += Z
-        else:
-            X = Z
+        X *= damping
+        X += Z
         R = A @ X
         R -= Y
         R *= keep

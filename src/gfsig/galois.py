@@ -134,23 +134,14 @@ class ExtField:
             raise AssertionError("exp table does not enumerate the multiplicative group")
         log_table = np.zeros(q, dtype=np.int64)
         log_table[exp_table] = np.arange(q - 1, dtype=np.int64)
+        # Tr(x) = sum_i x**(p**i) lies in GF(p), and field addition adds the coefficient
+        # digits mod p, so Tr(alpha**j) is the sum of the conjugates' constant digits mod p
+        js = np.arange(q - 1, dtype=np.int64)
+        trace_table = np.zeros(q, dtype=np.int64)
+        trace_table[exp_table] = sum(exp_table[js * p**i % (q - 1)] % p for i in range(m)) % p
         self.exp_table = exp_table
         self.log_table = log_table
-        self.trace_table = self._build_trace_table()
-
-    def _build_trace_table(self) -> np.ndarray:
-        p, m, q = self.p, self.m, self.q
-        js = np.arange(q - 1, dtype=np.int64)
-        acc = np.zeros((q - 1, m), dtype=np.int64)
-        for i in range(m):
-            codes = self.exp_table[(js * p**i) % (q - 1)]
-            for d in range(m):
-                acc[:, d] = (acc[:, d] + (codes // p**d) % p) % p
-        if m > 1 and acc[:, 1:].any():
-            raise AssertionError("trace left the prime subfield")
-        table = np.zeros(q, dtype=np.int64)
-        table[self.exp_table] = acc[:, 0]
-        return table
+        self.trace_table = trace_table
 
     @property
     def alpha(self) -> int:
@@ -161,17 +152,14 @@ class ExtField:
         return f"ExtField(p={self.p}, m={self.m}, poly={self.poly})"
 
 
-def PrimeField(p: int, alpha: int | None = None) -> ExtField:
-    """GF(p) for odd prime p as ExtField(p, 1), with primitive root alpha.
+def PrimeField(p: int) -> ExtField:
+    """GF(p) for odd prime p as ExtField(p, 1), with the smallest primitive root alpha.
 
     The defining polynomial is x - alpha, so log_table[x] = k for
-    x = alpha**k mod p, and log_table[0] = 0. Without alpha, the smallest
-    primitive root is used.
+    x = alpha**k mod p, and log_table[0] = 0. A chosen root alpha goes
+    through ExtField(p, 1, poly=((-alpha) % p, 1)).
     """
-    fld = ExtField(p, 1, poly=None if alpha is None else ((-alpha) % p, 1))
-    if alpha is not None and fld.alpha != alpha:  # alpha outside [0, p), reduced mod p
-        raise ValueError(f"{alpha} is not a primitive root of {p}")
-    return fld
+    return ExtField(p, 1)
 
 
 build_ext_field = ExtField  # GF(p^m); ExtField says how the polynomial is chosen

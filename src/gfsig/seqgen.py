@@ -369,8 +369,6 @@ def gen_trace_masks(p: int, m: int) -> MaskingSet:
     theta = 0 for the first L masks and alpha^(l1 - 1) afterwards, so every
     mask phase is a sum of two shifted copies of the single seed sequence.
     """
-    if p == 2:
-        raise ValueError("trace masks require odd characteristic")
     fld = build_ext_field(p, m)
     L = fld.q - 1
     t1 = trace_seed(fld)

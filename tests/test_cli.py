@@ -1,10 +1,10 @@
 import inspect
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from gfsig import cli
+from gfsig import cli, experiments, seqgen
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK, main
 from gfsig.experiments import GEN_TRIALS, ExperimentConfig, gen_random_family
 from gfsig.seqgen import DETERMINISTIC_FAMILIES
@@ -42,6 +42,11 @@ def test_gen_capacity_and_outputs(tmp_path, capsys):
     assert np.loadtxt(mat_file, delimiter=",", comments="#").view(complex).shape == (11, 80)
 
 
+def test_gen_rejects_random_family(capsys):
+    assert main(["gen", "--family", "qpsk", "--L", "7"]) == 1
+    assert "random families have no masking seed" in capsys.readouterr().err
+
+
 def test_gen_nd_needs_matrix_csv(capsys):
     assert main(["gen", "--family", "pr", "--L", "11", "--Nd", "5"]) == 1
     captured = capsys.readouterr()
@@ -54,6 +59,17 @@ def test_verify_quick_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 8  # 4 families x 2 regimes
+
+
+def test_verify_reports_a_bound_violation(capsys, monkeypatch):
+    monkeypatch.setitem(seqgen.FAMILIES, "cubic",
+                        replace(seqgen.FAMILIES["cubic"], bound=lambda L, small: 0.0))
+    assert main(["verify", "--family", "cubic", "--quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4  # each of the two reports: its FAIL line and one failure
+    for n, regime in ((49, "small"), (343, "general")):
+        i = lines.index(f"FAIL cubic {{'L': 7}} N={n} [{regime}]")
+        assert f"exceeds the {regime}-regime bound 0.0" in lines[i + 1]
 
 
 def test_verify_single_family_with_report(tmp_path, capsys):
@@ -85,15 +101,35 @@ def test_simulate_round_trip(tmp_path, capsys):
     assert header == "family,L,H,N_d,Q,K,M,detector,trials,p_e,p_e_stderr,seconds"
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+WORKERS_ERRORS = {"0": "GFSIG_WORKERS must be >= 1, got '0'",
+                  "-2": "GFSIG_WORKERS must be >= 1, got '-2'",
+                  "two": "GFSIG_WORKERS must be an integer, got 'two'"}
+
+
+@pytest.mark.parametrize("value", list(WORKERS_ERRORS))
 def test_simulate_rejects_workers_below_one(tmp_path, capsys, monkeypatch, value):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("family = cubic\nL = 7\nN_d = 30\nQ = 2\nK = 3\nM = 4\ntrials = 2\n"
                    f"output = {tmp_path / 'res.csv'}\n")
     monkeypatch.setenv("GFSIG_WORKERS", value)
     assert main(["simulate", str(cfg)]) == 1
-    assert f"GFSIG_WORKERS must be >= 1, got '{value}'" in capsys.readouterr().err
+    assert WORKERS_ERRORS[value] in capsys.readouterr().err
     assert not (tmp_path / "res.csv").exists()
+
+
+def test_simulate_warns_on_divergence(tmp_path, capsys, monkeypatch):
+    real = experiments.mmv_amp_estimate
+    monkeypatch.setattr(experiments, "mmv_amp_estimate",
+                        lambda *args, **kwargs: replace(real(*args, **kwargs), diverged=True))
+    text = ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4\ndetector = mmvamp\n"
+            f"trials = 2\noutput = {tmp_path / 'res.csv'}\n")
+    msgs = []
+    experiments.run_experiment(experiments.parse_config(text), warn=msgs.append)
+    assert msgs == ["divergence rate 100% at K=2, M=4"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg)]) == 0
+    assert capsys.readouterr().err == "WARNING: divergence rate 100% at K=2, M=4\n"
 
 
 def test_simulate_checks_output_before_the_first_trial(tmp_path, capsys, monkeypatch):

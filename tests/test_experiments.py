@@ -129,6 +129,7 @@ def test_config_parsing_features():
      r"^line 5: K grid \[2, 2\] is empty or repeats a value$"),
     ("family = cubic\nL = 7\nN_d = 10\nQ = 2\nK = 2\nM = 4, 8, 4\ntrials = 2",
      r"^line 6: M grid \[4, 8, 4\] is empty or repeats a value$"),
+    ("family cubic", "^line 1: expected 'key = value', got 'family cubic'$"),
 ], ids=["trials0", "trials-2**32+1", "N_d0", "Q0", "M-zero-item", "M-2**32", "kbig",
         "mmvamp-K-all-columns", "noL", "nop",
         "unknown", "missing", "baddet", "dupkey", "cubic-stray", "trace-H", "random-H", "sidelnikov-L", "trace-L",
@@ -137,7 +138,7 @@ def test_config_parsing_features():
         "cdml-sweeps0", "cdml-sigma_w2-0", "mmvamp-max_iters0", "mmvamp-damping1.5",
         "mmvamp-damping-negative", "random-gen_trials0", "cdml-xi_th0", "mmvamp-xi_th-1",
         "mmvamp-sigma_w2-negative", "N_d-float", "N_d-word", "sigma_w2-word", "K-empty-item",
-        "K-dup", "M-dup"])
+        "K-dup", "M-dup", "no-equals"])
 def test_config_rejections(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_config(text)
