@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 
 AMP_ORACLE = "tests/test_detectors.py::test_amp_matches_reference_loop"
+ORBIT_GRID = "tests/test_analysis.py::test_orbit_rule_rows_on_the_verify_grid"
 
 MUTANTS = (
     Mutant("trace-digit-1", "galois.py",
@@ -53,6 +54,10 @@ MUTANTS = (
            "(shrink * u * (1.0 - pi)) @ az2) / L",
            "(shrink * u * (1.0 - pi)) @ az2) / N",
            (AMP_ORACLE,)),
+    Mutant("amp-onsager-without-1-minus-pi", "detectors.py",
+           "(shrink * u * (1.0 - pi)) @ az2",
+           "(shrink * u) @ az2",
+           (AMP_ORACLE,)),
     Mutant("amp-ah-without-conj", "detectors.py",
            "AH = np.ascontiguousarray(A.conj().T)",
            "AH = np.ascontiguousarray(A.T)",
@@ -61,6 +66,29 @@ MUTANTS = (
            "            while k < last and q[k] <= a[k]:\n                k += 1\n",
            "            k = last\n",
            ("tests/test_detectors.py::test_cdml_matches_reference_loop",)),
+    Mutant("cdml-stops-after-one-sweep", "detectors.py",
+           "settled = np.array_equal(gamma > 0, support)",
+           "settled = True",
+           ("tests/test_detectors.py::test_cdml_stops_when_support_settles",)),
+    Mutant("cdml-zero-column-unchecked", "detectors.py",
+           "    if np.any(np.linalg.norm(S_scaled, axis=0) < 1e-300):\n"
+           "        raise ValueError(\"signature matrix has a zero column\")\n",
+           "",
+           ("tests/test_detectors.py::test_cdml_input_validation",)),
+    Mutant("tall-gram-unscaled", "analysis.py",
+           "        G /= norms[:, None]\n        G /= norms\n",
+           "",
+           ("tests/test_analysis.py::test_tall_gram_scan_is_the_plain_normalized_scan",
+            "tests/test_analysis.py::test_gram_scan_matches_the_normalized_copy")),
+    Mutant("cube-class-dropped", "seqgen.py",
+           "        if len(least) == classes:",
+           "        if len(least) == classes - 1:",
+           ("tests/test_analysis.py::test_cubic_classes_need_stepped_bases",
+            "tests/test_analysis.py::test_cubic_rule_keeps_one_row_per_cube_class", ORBIT_GRID)),
+    Mutant("frobenius-orbit-dropped", "seqgen.py",
+           "    return r[i], s * (H - 1) + r2[i]",
+           "    return r[i][1:], (s * (H - 1) + r2[i])[1:]",
+           ("tests/test_analysis.py::test_sidelnikov_rule_keeps_one_row_per_orbit", ORBIT_GRID)),
     Mutant("sign-ratio-tiny-entries", "analysis.py",
            "np.count_nonzero(nonzero & (X < 0), axis=0)",
            "np.count_nonzero(X < 0, axis=0)",

@@ -67,7 +67,7 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
         Y:        (L, M) received block
         S_scaled: (L, N) signatures with columns of norm sqrt(L), none zero
         sigma_w2: noise variance (> 0)
-        sweeps:   full passes over the N coordinates, each in a fresh
+        sweeps:   most full passes over the N coordinates, each in a fresh
                   random permutation
         record_update_objective: evaluate the objective directly after every
                   coordinate step (slow; for verification)
@@ -76,6 +76,11 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
     delta = (s^H A q s - s^H A s) / (s^H A s)^2 with A = Sigma^-1 and
     q = Sigma_hat, clamped so gamma stays nonnegative, followed by a
     rank-one update of A.
+
+    The run stops after the first sweep in which no coordinate enters or
+    leaves the support {i : gamma_i > 0} (a clamped step sets gamma_i to
+    exactly 0.0, so the comparison is exact), or after `sweeps` sweeps;
+    sweeps_run and objective_trace count the sweeps actually run.
 
     Most steps are no-ops: a coordinate with gamma = 0 whose delta clamps to
     0. Two facts let a run of consecutive steps be evaluated at once:
@@ -114,6 +119,7 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
                if record_update_objective else None)
 
     for sweep in range(sweeps):
+        support = gamma > 0
         perm = rng.permutation(N)
         np.take(ST, perm, axis=0, out=G)
         g_perm = gamma[perm]  # gamma of each coordinate when visited
@@ -146,18 +152,21 @@ def cdml_estimate(Y: np.ndarray, S_scaled: np.ndarray, sigma_w2: float,
                     current = covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat)
                 update_objs.append(current)
             pos = j + 1
-        if (sweep + 1) % CDML_REFRESH == 0 and sweep + 1 < sweeps:
+        settled = np.array_equal(gamma > 0, support)
+        if (sweep + 1) % CDML_REFRESH == 0 and sweep + 1 < sweeps and not settled:
             Sigma = (S_scaled * gamma) @ S_scaled.conj().T + sigma_w2 * np.eye(L)
             A = np.linalg.inv(Sigma)
             D[:, :L] = A.T
             D[:, L:] = (Sigma_hat @ A).T
         _, logdet_inv = np.linalg.slogdet(D[:, :L])
         objective.append(float(-logdet_inv + np.trace(D[:, L:]).real))
+        if settled:
+            break
 
     return MLEstimate(
         gamma,
         np.asarray(objective),
-        sweeps,
+        len(objective),
         None if update_objs is None else np.asarray(update_objs),
         D[:, :L].T.copy(),
     )

@@ -33,6 +33,7 @@ def test_cdml_zero_observation_gives_zero_gamma():
     Y = np.zeros((16, 8), dtype=complex)
     est = cdml_estimate(Y, S_scaled, 0.1, sweeps=3, rng=rng)
     assert np.all(est.gamma_hat == 0)
+    assert est.sweeps_run == len(est.objective_trace) == 1  # the empty support never moved
 
 
 def test_cdml_input_validation():
@@ -121,6 +122,7 @@ def reference_cdml_estimate(Y, S_scaled, sigma_w2, sweeps=15, rng=None,
     objective = []
     update_objs = [] if record_update_objective else None
     for sweep in range(sweeps):
+        support = gamma > 0
         for i in rng.permutation(N):
             s = cols[i]
             t = Ainv @ s
@@ -134,12 +136,15 @@ def reference_cdml_estimate(Y, S_scaled, sigma_w2, sweeps=15, rng=None,
                 gamma[i] += delta
             if record_update_objective:
                 update_objs.append(covariance_objective(S_scaled, gamma, sigma_w2, Sigma_hat))
-        if (sweep + 1) % refresh_every == 0 and sweep + 1 < sweeps:
+        settled = np.array_equal(gamma > 0, support)
+        if (sweep + 1) % refresh_every == 0 and sweep + 1 < sweeps and not settled:
             Sigma = (S_scaled * gamma) @ S_scaled.conj().T + sigma_w2 * np.eye(L)
             Ainv = np.linalg.inv(Sigma)
         _, logdet_inv = np.linalg.slogdet(Ainv)
         objective.append(float(-logdet_inv + np.einsum("ij,ji->", Ainv, Sigma_hat).real))
-    return MLEstimate(gamma, np.asarray(objective), sweeps,
+        if settled:  # no coordinate entered or left the support in this sweep
+            break
+    return MLEstimate(gamma, np.asarray(objective), len(objective),
                       None if update_objs is None else np.asarray(update_objs), Ainv)
 
 
@@ -195,6 +200,7 @@ def test_cdml_matches_reference_loop(case, monkeypatch):
         est = cdml_estimate(Y, S_scaled, 0.1, rng=rng, **est_kwargs)
         rng.bit_generator.state = state
         ref = reference_cdml_estimate(Y, S_scaled, 0.1, rng=rng, **kwargs)
+        assert est.sweeps_run == ref.sweeps_run == len(ref.objective_trace)
         assert np.abs(est.gamma_hat - ref.gamma_hat).max() <= 1e-9 * ref.gamma_hat.max()
         np.testing.assert_allclose(est.objective_trace, ref.objective_trace, rtol=1e-9)
         assert (np.linalg.norm(est.sigma_inv - ref.sigma_inv)
@@ -209,6 +215,27 @@ def test_cdml_matches_reference_loop(case, monkeypatch):
         p_e.append(error_metric(truth, mine).mean())
     if case == "cubic-K20-M4":
         assert max(p_e) > 0  # the decisions that must agree include wrong ones
+
+
+def test_cdml_stops_when_support_settles():
+    def run(sweeps):
+        rng.bit_generator.state = state
+        return cdml_estimate(Y, S_scaled, 0.1, sweeps=sweeps, rng=rng)
+
+    instances, _ = ORACLE_CASES["cubic-K40-M192"]
+    for Y, S_scaled, _, rng in instances():
+        state = rng.bit_generator.state
+        est = run(detectors.SWEEPS)
+        n = est.sweeps_run
+        assert 2 < n < detectors.SWEEPS and len(est.objective_trace) == n
+        # a binding cap runs every sweep it allows, and each sweep's gamma is the uncapped run's
+        before_last, before_that = run(n - 1), run(n - 2)
+        assert before_last.sweeps_run == n - 1 and before_that.sweeps_run == n - 2
+        np.testing.assert_array_equal(before_last.objective_trace[:-1], est.objective_trace[:n - 2])
+        # sweep n left the support as it was; sweep n - 1 moved it
+        assert np.array_equal(est.gamma_hat > 0, before_last.gamma_hat > 0)
+        assert not np.array_equal(before_last.gamma_hat > 0, before_that.gamma_hat > 0)
+        assert run(2).sweeps_run == 2
 
 
 @pytest.mark.parametrize("block", [1, 5, 10**6])
