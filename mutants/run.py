@@ -46,6 +46,11 @@ MUTANTS = (
            "exp_table = np.asarray(codes[:1] + codes[2:3] + codes[1:2] + codes[3:], "
            "dtype=np.int64)",
            ("tests/test_galois.py::test_field_axioms_exhaustive",)),
+    Mutant("prime-field-largest-root-first", "galois.py",
+           "poly = ((-n) % p, 1)",
+           "poly = ((n + 1) % p, 1)",
+           ("tests/test_galois.py::test_prime_field_log_table",
+            "tests/test_galois.py::test_prime_field_alpha_is_the_smallest_primitive_root")),
     Mutant("amp-undamped-x", "detectors.py",
            "        X *= damping\n        X += Z\n",
            "        X += Z\n",
@@ -75,6 +80,10 @@ MUTANTS = (
            "        raise ValueError(\"signature matrix has a zero column\")\n",
            "",
            ("tests/test_detectors.py::test_cdml_input_validation",)),
+    Mutant("cdml-sees-16-antennas", "detectors.py",
+           "Sigma_hat = (Y @ Y.conj().T) / M",
+           "Sigma_hat = (Y[:, :16] @ Y[:, :16].conj().T) / min(M, 16)",
+           ("tests/test_acceptance.py::test_criterion_07_cdml_desk_scale",)),
     Mutant("tall-gram-unscaled", "analysis.py",
            "        G /= norms[:, None]\n        G /= norms\n",
            "",
@@ -101,6 +110,10 @@ MUTANTS = (
            "                ok = False\n",
            "",
            ("tests/test_cli.py::test_verify_reports_a_bound_violation",)),
+    Mutant("verify-masks-first-pick-only", "cli.py",
+           "for b, err in zip(picks, errs):",
+           "for b, err in zip(picks[:1], errs[:1]):",
+           ("tests/test_analysis.py::test_verify_masks_names_a_block_that_is_not_orthonormal",)),
     Mutant("divergence-never-warned", "experiments.py",
            "if div_rate > 0.5 and warn is not None:",
            "if div_rate > 1.0 and warn is not None:",

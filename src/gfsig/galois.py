@@ -3,7 +3,9 @@
 Elements of GF(p^m) are coefficient vectors (c_0, ..., c_{m-1}) over Z_p,
 stored as integer codes sum_i c_i * p**i. Code 0 is the zero element and
 code 1 the multiplicative identity. Tables are built eagerly; the size cap
-q <= MAX_Q = 2**20 keeps that cheap for every field this package touches.
+q <= MAX_Q = 2**20 keeps that cheap for every field this package touches. The
+primitive element of every field, GF(p) included, is the root of the first
+polynomial that one in-order search over monic primitive polynomials finds.
 
 The discrete logarithm uses the log(0) = 0 convention throughout, so any
 character value derived from it equals 1 at the zero element.
@@ -20,30 +22,6 @@ MAX_Q = 1 << 20  # largest field order q = p**m that gets tables
 
 def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def find_primitive_root(p: int) -> int:
-    """Smallest g >= 2 whose multiplicative order mod p is exactly p - 1."""
-    _check_field(p, 1, cap=p)  # any odd prime: no table is built
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise AssertionError("no primitive root found; p is not prime")
 
 
 def _exp_codes(p: int, m: int, poly: tuple[int, ...]) -> list[int] | None:
@@ -76,24 +54,15 @@ def _exp_codes(p: int, m: int, poly: tuple[int, ...]) -> list[int] | None:
     return codes
 
 
-def _check_field(p: int, m: int, cap: int = MAX_Q) -> int:
-    """q = p**m, after rejecting an even or composite p, m < 1 and q > cap."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    q = p**m
-    if q > cap:
-        raise ValueError(f"q = {p}^{m} = {q} exceeds the table-size cap {cap}")
-    return q
-
-
 def _primitive_polys(p: int, m: int):
     """Yield (poly, exp codes) of each monic primitive polynomial of degree m over GF(p),
-    low-degree coefficients first, ordered lexicographically by coefficients compared high
-    degree first."""
+    low-degree coefficients first. For m >= 2 they come ordered lexicographically by
+    coefficients compared high degree first; for m = 1 they are x - g in increasing g,
+    so the first root is the smallest primitive root mod p."""
     for n in range(p**m):
         poly = tuple(n // p**i % p for i in range(m)) + (1,)  # n iterates high digit slowest
+        if m == 1:
+            poly = ((-n) % p, 1)  # x - n
         codes = _exp_codes(p, m, poly)
         if codes is not None:
             yield poly, codes
@@ -104,20 +73,26 @@ class ExtField:
 
     exp_table[k] is the code of alpha**k, log_table[x] its inverse (log(0) = 0) and
     trace_table[x] the absolute trace Tr(x) in [0, p); field arithmetic on codes is
-    a gather from them. When no polynomial is given, the lexicographically smallest
-    primitive polynomial (coefficients compared high degree first) is located by
-    exhaustive search. For m = 1 the defining polynomial is x - alpha with
-    alpha = find_primitive_root(p), so the field is PrimeField(p).
+    a gather from them. When no polynomial is given, the field takes the first one
+    that the in-order search _primitive_polys(p, m) finds: for m >= 2 the
+    lexicographically smallest primitive polynomial (coefficients compared high
+    degree first), for m = 1 x - alpha with alpha the smallest primitive root, so
+    that ExtField(p, 1) is PrimeField(p). p must be an odd prime and q = p**m at
+    most MAX_Q.
     """
 
     def __init__(self, p: int, m: int, poly=None):
-        q = _check_field(p, m)
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        q = p**m
+        if q > MAX_Q:
+            raise ValueError(f"q = {p}^{m} = {q} exceeds the table-size cap {MAX_Q}")
         self.p = p
         self.m = m
         self.q = q
 
-        if poly is None and m == 1:
-            poly = ((-find_primitive_root(p)) % p, 1)
         if poly is None:
             poly, codes = next(_primitive_polys(p, m))
         else:
@@ -155,9 +130,10 @@ class ExtField:
 def PrimeField(p: int) -> ExtField:
     """GF(p) for odd prime p as ExtField(p, 1), with the smallest primitive root alpha.
 
-    The defining polynomial is x - alpha, so log_table[x] = k for
-    x = alpha**k mod p, and log_table[0] = 0. A chosen root alpha goes
-    through ExtField(p, 1, poly=((-alpha) % p, 1)).
+    The defining polynomial x - alpha is the first that _primitive_polys(p, 1) finds,
+    the same in-order search that picks GF(p^m)'s polynomial, so log_table[x] = k for
+    x = alpha**k mod p, and log_table[0] = 0. A chosen root alpha goes through
+    ExtField(p, 1, poly=((-alpha) % p, 1)).
     """
     return ExtField(p, 1)
 

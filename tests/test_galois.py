@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gfsig.galois import (ExtField, PrimeField, _primitive_polys, build_ext_field,
-                          find_primitive_root, is_prime)
+from gfsig.galois import ExtField, PrimeField, _primitive_polys, build_ext_field, is_prime
 
 
 def primitive_polynomials(p: int, m: int) -> list[tuple[int, ...]]:
@@ -35,22 +34,26 @@ def mult_order(g, p):
     return k
 
 
-def test_find_primitive_root_matches_bruteforce():
-    for p in (3, 5, 7, 11, 23, 47):
-        expected = next(g for g in range(2, p) if mult_order(g, p) == p - 1)
-        assert find_primitive_root(p) == expected
+def smallest_primitive_root(p):
+    """Brute force: the smallest g >= 2 whose multiplicative order mod p is p - 1."""
+    return next(g for g in range(2, p) if mult_order(g, p) == p - 1)
 
 
-def test_find_primitive_root_frozen_values():
-    assert find_primitive_root(3) == 2
-    assert find_primitive_root(7) == 3
-    assert find_primitive_root(23) == 5
+def test_prime_field_alpha_is_the_smallest_primitive_root():
+    for p in filter(is_prime, range(3, 114)):
+        assert PrimeField(p).alpha == smallest_primitive_root(p)
+
+
+def test_prime_field_alpha_frozen_values():
+    assert PrimeField(3).alpha == 2
+    assert PrimeField(7).alpha == 3
+    assert PrimeField(23).alpha == 5
 
 
 @pytest.mark.parametrize("p", [2, 4, 9, 1])
-def test_find_primitive_root_rejects(p):
+def test_prime_field_rejects(p):
     with pytest.raises(ValueError):
-        find_primitive_root(p)
+        ExtField(p, 1)
 
 
 def test_prime_field_log_table():
@@ -90,7 +93,8 @@ def test_prime_field_every_primitive_root(p):
                 root_field(p, alpha)
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (5, 3), (11, 2)])
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (23, 1), (3, 2), (3, 3), (3, 4), (5, 2),
+                                 (7, 2), (5, 3), (11, 2)])
 def test_ext_field_default_poly_is_the_first_primitive_polynomial(p, m):
     assert ExtField(p, m).poly == primitive_polynomials(p, m)[0]
 
@@ -98,7 +102,7 @@ def test_ext_field_default_poly_is_the_first_primitive_polynomial(p, m):
 def test_ext_field_m1_degenerates_to_prime_field():
     f = build_ext_field(5, 1)
     assert f.q == 5
-    assert f.alpha == find_primitive_root(5) == 2
+    assert f.alpha == smallest_primitive_root(5) == 2
     assert np.array_equal(f.trace_table, np.arange(5))
     assert np.array_equal(f.log_table, PrimeField(5).log_table)
 
