@@ -47,8 +47,8 @@ MUTANTS = (
            "dtype=np.int64)",
            ("tests/test_galois.py::test_field_axioms_exhaustive",)),
     Mutant("prime-field-largest-root-first", "galois.py",
-           "poly = ((-n) % p, 1)",
-           "poly = ((n + 1) % p, 1)",
+           "poly = ((-n) % p, 1) if m == 1",
+           "poly = ((n + 1) % p, 1) if m == 1",
            ("tests/test_galois.py::test_prime_field_log_table",
             "tests/test_galois.py::test_prime_field_alpha_is_the_smallest_primitive_root")),
     Mutant("amp-undamped-x", "detectors.py",
@@ -114,6 +114,14 @@ MUTANTS = (
            "for b, err in zip(picks, errs):",
            "for b, err in zip(picks[:1], errs[:1]):",
            ("tests/test_analysis.py::test_verify_masks_names_a_block_that_is_not_orthonormal",)),
+    Mutant("random-set-detector-stream", "experiments.py",
+           "rng=trial_rng(base_seed, PURPOSE_GEN)",
+           "rng=trial_rng(base_seed, PURPOSE_DETECTOR)",
+           ("tests/test_cli.py::test_random_sets_are_the_best_draw_of_the_base_seeds_gen_stream",)),
+    Mutant("negative-noise-variance-unchecked", "simulator.py",
+           "    if sigma_w2 < 0:\n        raise ValueError(\"sigma_w2 must be >= 0\")\n",
+           "",
+           ("tests/test_simulator.py::test_synthesize_shape_mismatch",)),
     Mutant("divergence-never-warned", "experiments.py",
            "if div_rate > 0.5 and warn is not None:",
            "if div_rate > 1.0 and warn is not None:",

@@ -13,11 +13,10 @@ import numpy as np
 
 from .analysis import (CoherenceReport, bound_failures, coherence, coherence_report,
                        khatri_rao_lift, null_space_sign_ratio, welch_bound)
-from .experiments import (GEN_TRIALS, build_masks, gen_random_family, load_config,
+from .experiments import (GEN_TRIALS, build_masks, family_signatures, load_config,
                           run_experiment, workers_from_env, write_results)
 from .seqgen import (DETERMINISTIC_FAMILIES, FAMILIES, RANDOM_FAMILIES, build_signature_matrix,
                      check_keys, mask_block, masked_dft_columns, signature_to_csv)
-from .simulator import PURPOSE_GEN, trial_rng
 
 # (family, kwargs) instances used by `verify`; the quick grid trades size
 # for seconds-scale runtime.
@@ -146,21 +145,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _build_any_signatures(args):
+def cmd_a1(args) -> int:
     fam = FAMILIES[args.family]
     check_keys("family", args.family, fam.needs, fam.needs + fam.takes, dict.fromkeys(
         key for key in ("L", "p", "m", "H", "gen_trials") if getattr(args, key) is not None))
-    if args.family in RANDOM_FAMILIES:
-        rng = trial_rng(args.seed, PURPOSE_GEN)
-        return gen_random_family(args.family, args.L, args.Nd * args.Q,
-                                 trials=args.gen_trials or GEN_TRIALS, rng=rng,
-                                 q_per_device=args.Q)
-    masks = build_masks(args.family, L=args.L, p=args.p, m=args.m, H=args.H)
-    return build_signature_matrix(masks, args.Nd, args.Q)
-
-
-def cmd_a1(args) -> int:
-    sig = _build_any_signatures(args)
+    sig = family_signatures(args.family, n_devices=args.Nd, q_per_device=args.Q,
+                            base_seed=args.seed, gen_trials=args.gen_trials or GEN_TRIALS,
+                            L=args.L, p=args.p, m=args.m, H=args.H)
     report = null_space_sign_ratio(sig, num_samples=args.samples,
                                    rng=np.random.default_rng(args.seed))
     if report.empty:
@@ -180,8 +171,8 @@ def cmd_bench(args) -> int:
     welch = welch_bound(args.L, args.N)
     print(f"L={args.L} N={args.N} trials={args.trials} welch={welch:.6f}")
     for kind in kinds:
-        rng = trial_rng(args.seed, PURPOSE_GEN)
-        sig = gen_random_family(kind, args.L, args.N, trials=args.trials, rng=rng)
+        sig = family_signatures(kind, n_devices=args.N, q_per_device=1, base_seed=args.seed,
+                                gen_trials=args.trials, L=args.L)
         print(f"{kind}: coherence {coherence(sig):.6f}")
     return 0
 

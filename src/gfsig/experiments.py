@@ -49,7 +49,8 @@ CSV_HEADER = "family,L,H,N_d,Q,K,M,detector,trials,p_e,p_e_stderr,seconds"
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """The config schema: one field per config key, in format_config's order."""
+    """The config schema: one field per config key. Frozen and compared by value, so a
+    config file's text names its run: parse_config(text) == cfg."""
 
     family: str
     L: int | None = None
@@ -84,13 +85,6 @@ _CONVERT = {"str": (str, ""), "int": (int, "an integer"), "float": (float, "a nu
 # config keys read only under some families or some detectors
 _FAMILY_KEYS = {key for fam in FAMILIES.values() for key in fam.needs + fam.takes}
 _TUNING_KEYS = {key for keys in DETECTORS.values() for key in keys}
-
-
-def _reads(cfg: ExperimentConfig, key: str) -> bool:
-    """Whether a run of `cfg` reads config key `key`."""
-    fam = FAMILIES[cfg.family]
-    return (key in fam.needs + fam.takes or key in DETECTORS[cfg.detector]
-            or key not in _FAMILY_KEYS | _TUNING_KEYS)
 
 
 def _within(value, interval: str) -> bool:
@@ -129,22 +123,6 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
     validate_config(cfg, {key: lineno for key, (lineno, _) in raw.items()})
     return cfg
-
-
-def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(format_config(cfg)) == cfg.
-
-    Keys the family or detector does not read are left out.
-    """
-    lines = []
-    for key, f in _FIELDS.items():
-        value = getattr(cfg, f.name)
-        if value is None or not _reads(cfg, key):
-            continue
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:
@@ -223,14 +201,21 @@ def gen_random_family(kind: str, L: int, N: int, trials: int = GEN_TRIALS, *,
     return SignatureMatrix(best, N // q_per_device, q_per_device, kind, {"L": L})
 
 
+def family_signatures(family: str, *, n_devices: int, q_per_device: int, base_seed: int,
+                      gen_trials: int, **keys) -> SignatureMatrix:
+    """S with n_devices x q_per_device columns from the family keys given (L, p, m, H;
+    None: not given): a deterministic family's first N_d Q masked-DFT columns, or a random
+    family's best of gen_trials draws from the base seed's PURPOSE_GEN stream."""
+    if family in DETERMINISTIC_FAMILIES:
+        return build_signature_matrix(build_masks(family, **keys), n_devices, q_per_device)
+    return gen_random_family(family, keys["L"], n_devices * q_per_device, trials=gen_trials,
+                             rng=trial_rng(base_seed, PURPOSE_GEN), q_per_device=q_per_device)
+
+
 def build_signatures(cfg: ExperimentConfig) -> SignatureMatrix:
-    if cfg.family in DETERMINISTIC_FAMILIES:
-        masks = build_masks(cfg.family, L=cfg.L, p=cfg.p, m=cfg.m, H=cfg.H)
-        return build_signature_matrix(masks, cfg.n_devices, cfg.q_per_device)
-    rng = trial_rng(cfg.base_seed, PURPOSE_GEN)
-    return gen_random_family(cfg.family, cfg.L, cfg.n_devices * cfg.q_per_device,
-                             trials=cfg.gen_trials, rng=rng,
-                             q_per_device=cfg.q_per_device)
+    return family_signatures(cfg.family, n_devices=cfg.n_devices, q_per_device=cfg.q_per_device,
+                             base_seed=cfg.base_seed, gen_trials=cfg.gen_trials,
+                             L=cfg.L, p=cfg.p, m=cfg.m, H=cfg.H)
 
 
 def draw_trial(S: np.ndarray, n_devices: int, q_per_device: int, k_active: int,

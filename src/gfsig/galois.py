@@ -60,9 +60,8 @@ def _primitive_polys(p: int, m: int):
     coefficients compared high degree first; for m = 1 they are x - g in increasing g,
     so the first root is the smallest primitive root mod p."""
     for n in range(p**m):
-        poly = tuple(n // p**i % p for i in range(m)) + (1,)  # n iterates high digit slowest
-        if m == 1:
-            poly = ((-n) % p, 1)  # x - n
+        # x - n for m = 1; else n's base-p digits, which iterate the high digit slowest
+        poly = ((-n) % p, 1) if m == 1 else tuple(n // p**i % p for i in range(m)) + (1,)
         codes = _exp_codes(p, m, poly)
         if codes is not None:
             yield poly, codes

@@ -54,9 +54,7 @@ def draw_activity(n_devices: int, k_active: int, q_per_device: int,
         raise ValueError("q_per_device must be >= 1")
     active = np.sort(rng.choice(n_devices, size=k_active, replace=False))
     indicators = np.zeros((n_devices, q_per_device), dtype=np.int8)
-    if k_active:
-        qs = rng.integers(0, q_per_device, size=k_active)
-        indicators[active, qs] = 1
+    indicators[active, rng.integers(0, q_per_device, size=k_active)] = 1
     return indicators
 
 

@@ -268,7 +268,7 @@ def test_bound_sweep_every_instance():
     assert reports == 332  # 166 instances, two column counts each
 
 
-def test_coherence_report_reads_the_masks(monkeypatch):
+def test_coherence_report_uses_the_masks(monkeypatch):
     sig = build_signature_matrix(gen_cubic_masks(11), 1331, 1)
     expected = coherence(sig)
 
@@ -722,6 +722,9 @@ def test_welch_bound_values():
     assert welch_bound(1, 2) == pytest.approx(1.0)
     assert welch_bound(23, 23) == 0.0  # vacuous when N <= L
     assert welch_bound(23, 10) == 0.0
+    for L, N in [(0, 5), (7, 1)]:
+        with pytest.raises(ValueError, match="^need L >= 1 and N >= 2$"):
+            welch_bound(L, N)
 
 
 def test_welch_bound_below_coherence_for_generated_matrices():

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from gfsig import cli, experiments, seqgen
+from gfsig.analysis import coherence, null_space_sign_ratio
 from gfsig.cli import VERIFY_GRID, VERIFY_GRID_QUICK, main
-from gfsig.experiments import GEN_TRIALS, ExperimentConfig, gen_random_family
+from gfsig.experiments import (GEN_TRIALS, ExperimentConfig, build_signatures, family_signatures,
+                               gen_random_family)
 from gfsig.seqgen import DETERMINISTIC_FAMILIES
+from gfsig.simulator import PURPOSE_GEN, trial_rng
 
 PR_SEED_TEXT = "0,0,2,16,4,1,18,19,6,10,3,9,20,14,21,17,8,7,12,15,5,13,11"
 
@@ -40,6 +43,10 @@ def test_gen_capacity_and_outputs(tmp_path, capsys):
     assert "capacity(Q=4)=272" in out  # floor(1089 / 4)
     assert seed_file.exists() and mat_file.exists()
     assert np.loadtxt(mat_file, delimiter=",", comments="#").view(complex).shape == (11, 80)
+    # cubic masks come from the phase polynomial: no seed line, on stdout or in the file
+    assert main(["gen", "--family", "cubic", "--L", "7", "--out", str(seed_file)]) == 0
+    assert "seed: none (masks come directly from the phase polynomial)\n" in capsys.readouterr().out
+    assert seed_file.read_text() == "# family=cubic L=7 B=49 params={'L': 7}\n"
 
 
 def test_gen_rejects_random_family(capsys):
@@ -257,6 +264,33 @@ def test_one_best_of_trials_default(capsys):
         assert main(argv + extra) == 0
         outs.append(capsys.readouterr().out)
     assert "sign ratio" in outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_random_sets_are_the_best_draw_of_the_base_seeds_gen_stream(capsys, seed):
+    # simulate, a1 and bench draw a random set alike: the best of gen_trials draws from
+    # trial_rng(base_seed, PURPOSE_GEN)
+    L, n_devices, Q, trials = 4, 10, 2, 3
+    for kind in ("qpsk", "gaussian"):
+        want = gen_random_family(kind, L, n_devices * Q, trials,
+                                 rng=trial_rng(seed, PURPOSE_GEN), q_per_device=Q)
+        sig = family_signatures(kind, n_devices=n_devices, q_per_device=Q, base_seed=seed,
+                                gen_trials=trials, L=L)
+        assert np.array_equal(sig.entries, want.entries) and sig.q_per_device == Q
+        cfg = ExperimentConfig(family=kind, L=L, n_devices=n_devices, q_per_device=Q,
+                               k_grid=(2,), m_grid=(4,), trials=2, gen_trials=trials,
+                               base_seed=seed)
+        assert np.array_equal(build_signatures(cfg).entries, want.entries)
+        assert main(["bench", "--L", str(L), "--N", str(n_devices * Q), "--trials", str(trials),
+                     "--seed", str(seed), "--kinds", kind]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"{kind}: coherence {coherence(want):.6f}"
+        assert main(["a1", "--family", kind, "--L", str(L), "--Nd", str(n_devices), "--Q", str(Q),
+                     "--gen-trials", str(trials), "--seed", str(seed), "--samples", "50"]) == 0
+        report = null_space_sign_ratio(want, num_samples=50, rng=np.random.default_rng(seed))
+        assert report.null_dim > 0
+        assert capsys.readouterr().out == (
+            f"{kind} L={L} N={n_devices * Q}: sign ratio {report.ratio:.4f} over 50 samples "
+            f"(null dim {report.null_dim})\n")
 
 
 def test_verify_grids_cover_every_family():

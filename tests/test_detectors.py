@@ -291,6 +291,9 @@ def test_cdml_decide_examples():
     res = cdml_decide(np.array([0.4, 0.4, 0.0, 0.0]), 1, 4, xi_th=0.25)
     assert res.tolist() == [[1, 0, 0, 0]]
 
+    with pytest.raises(ValueError, match="^gamma_hat length must be n_devices \\* q_per_device$"):
+        cdml_decide(np.zeros(7), 2, 4)
+
 
 def test_decide_scale_covariance():
     rng = np.random.default_rng(6)
@@ -314,6 +317,9 @@ def test_amp_decide_examples():
     X[5] = np.sqrt(0.26)
     res = amp_decide(X, 2, 4)
     assert res[1].tolist() == [1, 0, 0, 0]
+
+    with pytest.raises(ValueError, match="^X_hat must have n_devices \\* q_per_device rows$"):
+        amp_decide(X[:7], 2, 4)
 
 
 # --- MMV-AMP -------------------------------------------------------------------
@@ -343,6 +349,10 @@ def test_amp_validation():
         mmv_amp_estimate(Y, S_scaled, 0.1, damping=1.0)
     with pytest.raises(ValueError):
         mmv_amp_estimate(Y, S_scaled, 0.1, max_iters=0)
+    S_zero = S_scaled.copy()
+    S_zero[:, 3] = 0
+    with pytest.raises(ValueError, match="^signature matrix has a zero column$"):
+        mmv_amp_estimate(Y, S_zero, 0.1)
 
 
 def test_amp_tuning_arguments_are_keyword_only():
@@ -530,6 +540,8 @@ def test_error_metric_cases():
     perfect = cdml_decide(np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), 4, 2)
     res = error_metric(truth, perfect)
     assert res.shape == (4,) and not res.any()
+    with pytest.raises(ValueError, match="^activity and decision shapes disagree$"):
+        error_metric(truth, perfect[:3])
 
     # miss: active device 0 declared inactive
     missed = cdml_decide(np.array([0.0, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), 4, 2)

@@ -131,6 +131,12 @@ def test_build_ext_field_rejects_bad_inputs():
         build_ext_field(6, 2)
     with pytest.raises(ValueError):
         build_ext_field(5, 10)  # 5^10 above the table cap MAX_Q
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        build_ext_field(5, 0)
+    with pytest.raises(ValueError, match="^poly must be monic of degree m"):
+        build_ext_field(5, 2, poly=(2, 1, 2))  # leading coefficient 2
+    with pytest.raises(ValueError, match="^poly must be monic of degree m"):
+        build_ext_field(5, 2, poly=(2, 1))  # degree 1
 
 
 def test_exp_log_round_trip():

@@ -111,6 +111,15 @@ def test_pr_rejects_bad_H():
         gen_pr_masks(23, 21)  # 21 does not divide 22
     with pytest.raises(ValueError):
         gen_pr_masks(23, 2)
+    for L in (2, 9):  # and L, which must be an odd prime
+        with pytest.raises(ValueError, match=f"^L must be an odd prime, got {L}$"):
+            gen_pr_masks(L)
+
+
+def test_sidelnikov_rejects_bad_H():
+    for H in (1, 5):  # GF(25): L = 24, which 5 does not divide
+        with pytest.raises(ValueError, match=f"^H must be >= 2 and divide L = 24, got {H}$"):
+            gen_sidelnikov_masks(5, 2, H)
 
 
 def test_sidelnikov_log_zero_convention():
@@ -227,6 +236,9 @@ def test_signature_capacity_rejected():
         build_signature_matrix(masks, 126, 1)
     with pytest.raises(ValueError):
         build_signature_matrix(masks, 32, 4)
+    for n_devices, q_per_device in [(0, 1), (5, 0)]:
+        with pytest.raises(ValueError, match="^need n_devices >= 1 and q_per_device >= 1$"):
+            build_signature_matrix(masks, n_devices, q_per_device)
 
 
 def test_small_regime_cubic_coherence_attains_value():
@@ -294,6 +306,8 @@ def test_random_family_validation():
     for kind in ("pn", "cubic"):  # no such family, and a family with no draw
         with pytest.raises(ValueError, match=f"^unknown random family '{kind}'$"):
             gen_random_family(kind, 8, 16, rng=rng)
+    with pytest.raises(ValueError, match="^q_per_device must divide N$"):
+        gen_random_family("gaussian", 8, 15, rng=rng, q_per_device=2)
 
 
 def test_random_family_with_one_column_keeps_the_first_draw():

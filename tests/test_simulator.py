@@ -61,6 +61,8 @@ def test_draw_activity_edges():
     assert np.all(full == 1)
     with pytest.raises(ValueError):
         draw_activity(10, 11, 2, rng)
+    with pytest.raises(ValueError, match="^q_per_device must be >= 1$"):
+        draw_activity(10, 2, 0, rng)
 
 
 def test_draw_channel_one_row_per_device():
@@ -69,6 +71,8 @@ def test_draw_channel_one_row_per_device():
     H = draw_channel(30, 8, rng=np.random.default_rng(2))
     assert H.shape == (30, 8)
     assert np.array_equal(H, complex_normal(np.random.default_rng(2), (30, 8)))
+    with pytest.raises(ValueError, match="^need at least one antenna$"):
+        draw_channel(30, 0, rng=np.random.default_rng(2))
     S = build_signature_matrix(gen_cubic_masks(7), 30, 4).entries
     for n in (0, 13, 29):
         for q in range(4):
@@ -172,6 +176,11 @@ def test_synthesize_shape_mismatch():
     H = draw_channel(19, 3, rng=np.random.default_rng(13))
     with pytest.raises(ValueError):
         synthesize(sig.entries, act, H, 0.1, np.random.default_rng(14))
+    # shapes that agree: only the negative noise variance is wrong
+    act = draw_activity(20, 5, 2, np.random.default_rng(12))
+    H = draw_channel(20, 3, rng=np.random.default_rng(13))
+    with pytest.raises(ValueError, match="^sigma_w2 must be >= 0$"):
+        synthesize(sig.entries, act, H, -0.1, np.random.default_rng(14))
 
 
 def test_synthesize_all_active_scaling():
